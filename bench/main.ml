@@ -676,16 +676,14 @@ let counter_metrics snap =
 module Report = Iron_report.Report
 
 let bench_artifact records =
-  Report.bench_of_records
+  Report.of_bench
     (List.map
        (fun r ->
-         {
-           Report.experiment = r.experiment;
-           wall_ms = int_of_float (r.wall_s *. 1000.);
-           b_jobs = r.jobs;
-           b_workers = r.rec_workers;
-           metrics = counter_metrics r.metrics;
-         })
+         ( r.experiment,
+           int_of_float (r.wall_s *. 1000.),
+           r.jobs,
+           r.rec_workers,
+           counter_metrics r.metrics ))
        records)
 
 let write_json file records =
@@ -703,20 +701,24 @@ let check_thresholds file records =
   | Error e ->
       Printf.eprintf "bench --check: %s\n" e;
       exit 2
-  | Ok (Report.Thresholds th) -> (
-      match bench_artifact records with
-      | Report.Bench b -> (
-          match Report.check_thresholds th b with
-          | [] ->
-              Printf.printf "thresholds: all %d rule%s from %s hold\n"
-                (List.length th.Report.rules)
-                (if List.length th.Report.rules = 1 then "" else "s")
-                file
-          | items ->
-              Format.printf "threshold violations (%d):@.%a"
-                (List.length items) Report.pp_items items;
-              exit 1)
-      | _ -> assert false)
+  | Ok th when Report.kind_name th = "bench-thresholds" -> (
+      let n =
+        match Iron_report.Json.member "rules" (Report.to_json th) with
+        | Ok (Iron_report.Json.List rules) -> List.length rules
+        | _ -> 0
+      in
+      match Report.diff th (bench_artifact records) with
+      | Ok [] ->
+          Printf.printf "thresholds: all %d rule%s from %s hold\n" n
+            (if n = 1 then "" else "s")
+            file
+      | Ok items ->
+          Format.printf "threshold violations (%d):@.%a" (List.length items)
+            Report.pp_items items;
+          exit 1
+      | Error e ->
+          Printf.eprintf "bench --check: %s\n" e;
+          exit 2)
   | Ok art ->
       Printf.eprintf
         "bench --check: %s is a %s artifact, expected bench-thresholds\n" file

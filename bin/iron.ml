@@ -749,30 +749,52 @@ let json_files dir =
   |> List.filter (fun f -> Filename.check_suffix f ".json")
   |> List.sort compare
 
-(* Diff one golden file against one fresh file; returns the number of
-   differing cells (or exits 2 on load/compare errors). *)
-let diff_pair ~timing_tol label golden fresh =
-  let load path =
-    match Report.load path with
-    | Ok a -> a
-    | Error e ->
-        Format.eprintf "iron diff: %s@." e;
-        exit 2
-  in
-  match
-    Report.diff ~timing_tol:(timing_tol /. 100.) (load golden) (load fresh)
-  with
+let load_artifact ~tool path =
+  match Report.load path with
+  | Ok a -> a
   | Error e ->
-      Format.eprintf "iron diff: %s: %s@." label e;
+      Format.eprintf "iron %s: %s@." tool e;
       exit 2
-  | Ok [] ->
-      Format.printf "ok   %s@." label;
-      0
-  | Ok items ->
-      Format.printf "DIFF %s (%d cell%s)@.%a" label (List.length items)
-        (if List.length items = 1 then "" else "s")
-        Report.pp_items items;
-      List.length items
+
+let load_dir ~tool dir =
+  List.map (fun n -> (n, load_artifact ~tool (Filename.concat dir n))) (json_files dir)
+
+(* Compare golden artifacts with fresh ones by file name, print one
+   ok/DIFF block per artifact, and return the number of differing
+   cells. An artifact on one side only is one differing cell, except a
+   golden bench-thresholds artifact: bench --check evaluates it and
+   nothing regenerates it. Incomparable artifacts exit 2. *)
+let compare_artifacts ~tool ~timing_tol golden fresh =
+  let names = List.sort_uniq compare (List.map fst golden @ List.map fst fresh) in
+  List.fold_left
+    (fun acc name ->
+      let items =
+        match (List.assoc_opt name golden, List.assoc_opt name fresh) with
+        | Some g, Some f -> (
+            match Report.diff ~timing_tol g f with
+            | Ok items -> Some items
+            | Error e ->
+                Format.eprintf "iron %s: %s: %s@." tool name e;
+                exit 2)
+        | Some g, None when Report.kind_name g = "bench-thresholds" -> None
+        | g, f ->
+            let side = function
+              | Some a -> Report.kind_name a ^ " artifact"
+              | None -> "(absent)"
+            in
+            Some [ { Report.path = name; golden = side g; fresh = side f } ]
+      in
+      match items with
+      | None -> acc
+      | Some [] ->
+          Format.printf "ok   %s@." name;
+          acc
+      | Some items ->
+          Format.printf "DIFF %s (%d cell%s)@.%a" name (List.length items)
+            (if List.length items = 1 then "" else "s")
+            Report.pp_items items;
+          acc + List.length items)
+    0 names
 
 let diff_cmd =
   let golden_arg =
@@ -788,29 +810,23 @@ let diff_cmd =
       Format.eprintf "iron diff: %s@." msg;
       exit 2
     in
+    let timing_tol = timing_tol /. 100. in
     let total =
       match (Sys.is_directory golden, Sys.is_directory fresh) with
       | exception Sys_error e -> fail e
       | true, true ->
           let g = json_files golden and f = json_files fresh in
-          let common = List.filter (fun n -> List.mem n g) f in
-          if common = [] then
+          if not (List.exists (fun n -> List.mem n g) f) then
             fail
               (Printf.sprintf "no artifact names in common between %s and %s"
                  golden fresh);
-          List.iter
-            (fun n ->
-              if not (List.mem n g) then
-                Format.printf "note %s only in %s@." n fresh)
-            f;
-          List.fold_left
-            (fun acc n ->
-              acc
-              + diff_pair ~timing_tol n (Filename.concat golden n)
-                  (Filename.concat fresh n))
-            0 common
+          compare_artifacts ~tool:"diff" ~timing_tol
+            (load_dir ~tool:"diff" golden) (load_dir ~tool:"diff" fresh)
       | false, false ->
-          diff_pair ~timing_tol (Filename.basename fresh) golden fresh
+          let name = Filename.basename fresh in
+          compare_artifacts ~tool:"diff" ~timing_tol
+            [ (name, load_artifact ~tool:"diff" golden) ]
+            [ (name, load_artifact ~tool:"diff" fresh) ]
       | true, false | false, true ->
           fail "GOLDEN and FRESH must both be files or both be directories"
     in
@@ -826,9 +842,12 @@ let diff_cmd =
        ~doc:"Compare versioned artifacts (golden vs fresh): exact on \
              failure-policy matrices and crash-exploration counts, \
              tolerance-based on timing metrics, threshold evaluation when \
-             GOLDEN is a bench-thresholds artifact. Prints a cell-level \
-             report and exits 1 on any drift, 2 on unreadable or \
-             incomparable artifacts (including unknown schema versions).")
+             GOLDEN is a bench-thresholds artifact. Directories are \
+             compared by file name; an artifact present on one side only \
+             is a differing cell (a golden bench-thresholds artifact \
+             excepted). Prints a cell-level report and exits 1 on any \
+             drift, 2 on unreadable or incomparable artifacts (including \
+             unknown schema versions).")
     Term.(const run $ golden_arg $ fresh_arg $ tol_arg)
 
 (* --- golden: regenerate or check the committed artifacts --------------- *)
@@ -935,29 +954,9 @@ let golden_cmd =
     end
     else begin
       let total =
-        List.fold_left
-          (fun acc art ->
-            let name = Report.filename art in
-            let path = Filename.concat dir name in
-            match Report.load path with
-            | Error e ->
-                Format.eprintf "iron golden: %s@." e;
-                exit 2
-            | Ok golden -> (
-                match Report.diff golden art with
-                | Error e ->
-                    Format.eprintf "iron golden: %s: %s@." name e;
-                    exit 2
-                | Ok [] ->
-                    Format.printf "ok   %s@." name;
-                    acc
-                | Ok items ->
-                    Format.printf "DIFF %s (%d cell%s)@.%a" name
-                      (List.length items)
-                      (if List.length items = 1 then "" else "s")
-                      Report.pp_items items;
-                    acc + List.length items))
-          0 fresh
+        compare_artifacts ~tool:"golden" ~timing_tol:Report.default_timing_tol
+          (load_dir ~tool:"golden" dir)
+          (List.map (fun art -> (Report.filename art, art)) fresh)
       in
       if total > 0 then begin
         Format.printf
@@ -972,9 +971,9 @@ let golden_cmd =
   Cmd.v
     (Cmd.info "golden"
        ~doc:"Regenerate (--update) or check the committed golden artifacts: \
-             fingerprint matrices for ext3/reiserfs/jfs/ixt3 and the \
-             ext3-vs-ixt3 crash-exploration asymmetry. The check is the \
-             same comparison CI's golden gate runs via $(b,iron diff).")
+             fingerprint, crash, forensics, fuzz and traffic artifacts for \
+             the registered brands. The check is the same comparison \
+             $(b,iron diff) makes between two directories.")
     Term.(const run $ update_arg $ dir_arg $ jobs_arg $ seed_arg $ states_arg)
 
 let fsck_cmd =

@@ -123,76 +123,99 @@ let of_string s =
     end
     else fail ("bad literal, expected " ^ word)
   in
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> fail "bad \\u escape"
+  in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor hex_digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail ("bad \\u escape " ^ h)
+    !v
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "truncated escape";
-           let c = s.[!pos] in
-           advance ();
-           match c with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'b' -> Buffer.add_char buf '\b'
-           | 'f' -> Buffer.add_char buf '\012'
-           | 'u' ->
-               (* Decode to UTF-8 bytes; surrogate pairs supported. *)
-               let cp = hex4 () in
-               let cp =
-                 if cp >= 0xD800 && cp <= 0xDBFF then begin
-                   if
-                     !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                   then begin
-                     pos := !pos + 2;
-                     let lo = hex4 () in
-                     0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00))
+    (* Fast path: no escape before the closing quote. *)
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+      advance ()
+    done;
+    if !pos < n && s.[!pos] = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create 16 in
+      Buffer.add_substring buf s start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match s.[!pos] with
+        | '"' -> advance ()
+        | '\\' ->
+            advance ();
+            (if !pos >= n then fail "truncated escape";
+             let c = s.[!pos] in
+             advance ();
+             match c with
+             | '"' -> Buffer.add_char buf '"'
+             | '\\' -> Buffer.add_char buf '\\'
+             | '/' -> Buffer.add_char buf '/'
+             | 'n' -> Buffer.add_char buf '\n'
+             | 'r' -> Buffer.add_char buf '\r'
+             | 't' -> Buffer.add_char buf '\t'
+             | 'b' -> Buffer.add_char buf '\b'
+             | 'f' -> Buffer.add_char buf '\012'
+             | 'u' ->
+                 (* Decode to UTF-8 bytes; surrogate pairs supported. *)
+                 let cp = hex4 () in
+                 let cp =
+                   if cp >= 0xDC00 && cp <= 0xDFFF then fail "lone low surrogate"
+                   else if cp >= 0xD800 && cp <= 0xDBFF then begin
+                     if
+                       !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+                     then begin
+                       pos := !pos + 2;
+                       let lo = hex4 () in
+                       if lo < 0xDC00 || lo > 0xDFFF then
+                         fail "high surrogate not followed by a low one";
+                       0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00))
+                     end
+                     else fail "lone high surrogate"
                    end
-                   else fail "lone high surrogate"
+                   else cp
+                 in
+                 if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+                 else if cp < 0x800 then begin
+                   Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+                   Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
                  end
-                 else cp
-               in
-               if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-               else if cp < 0x800 then begin
-                 Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-               end
-               else if cp < 0x10000 then begin
-                 Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-                 Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-               end
-               else begin
-                 Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-                 Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-               end
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          go ()
-      | c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+                 else if cp < 0x10000 then begin
+                   Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+                   Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+                   Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+                 end
+                 else begin
+                   Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
+                   Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
+                   Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+                   Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+                 end
+             | c -> fail (Printf.sprintf "bad escape \\%c" c));
+            go ()
+        | c ->
+            advance ();
+            Buffer.add_char buf c;
+            go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -232,6 +255,8 @@ let of_string s =
           let rec fields acc =
             skip_ws ();
             let k = parse_string () in
+            if List.exists (fun (k', _) -> String.equal k k') acc then
+              fail (Printf.sprintf "duplicate key %S" k);
             skip_ws ();
             expect ':';
             let v = parse_value () in
@@ -304,39 +329,8 @@ let member k = function
       | None -> Error (Printf.sprintf "missing member %S" k))
   | v -> Error (Printf.sprintf "expected object for member %S, got %s" k (type_name v))
 
-let to_int = function
-  | Int n -> Ok n
-  | v -> Error ("expected int, got " ^ type_name v)
-
-let to_bool = function
-  | Bool b -> Ok b
-  | v -> Error ("expected bool, got " ^ type_name v)
-
-let to_str = function
-  | String s -> Ok s
-  | v -> Error ("expected string, got " ^ type_name v)
-
-let to_list = function
-  | List l -> Ok l
-  | v -> Error ("expected array, got " ^ type_name v)
-
-let to_assoc = function
-  | Assoc a -> Ok a
-  | v -> Error ("expected object, got " ^ type_name v)
-
-let ( let* ) = Result.bind
-
-let in_member k r =
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" k e) r
-
-let mem_int k v =
-  let* m = member k v in
-  in_member k (to_int m)
-
 let mem_str k v =
-  let* m = member k v in
-  in_member k (to_str m)
-
-let mem_list k v =
-  let* m = member k v in
-  in_member k (to_list m)
+  match member k v with
+  | Ok (String s) -> Ok s
+  | Ok v -> Error (Printf.sprintf "%s: expected string, got %s" k (type_name v))
+  | Error e -> Error e

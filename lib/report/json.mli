@@ -26,24 +26,18 @@ val to_string : ?indent:bool -> t -> string
 val of_string : string -> (t, string) result
 (** Strict parse of one JSON document ([Error] carries a byte offset
     and message). Trailing whitespace is allowed, trailing garbage is
-    not. Numbers without [.], [e] or [E] parse as [Int]. *)
+    not. Numbers without [.], [e] or [E] parse as [Int]. A [\u] escape
+    takes exactly four hex digits and surrogates must pair up (high
+    then low); an object may not repeat a key. *)
 
-(** {2 Accessors}
+(** {2 Accessors} *)
 
-    All return [Error] with the member path when the shape is wrong;
-    {!Report}'s loader threads these through, so a malformed artifact
-    names the offending field. *)
+val type_name : t -> string
+(** ["null"], ["bool"], ["int"], ["float"], ["string"], ["array"] or
+    ["object"], for error messages. *)
 
 val member : string -> t -> (t, string) result
-val to_int : t -> (int, string) result
-val to_bool : t -> (bool, string) result
-val to_str : t -> (string, string) result
-val to_list : t -> (t list, string) result
-val to_assoc : t -> ((string * t) list, string) result
-
-val mem_int : string -> t -> (int, string) result
 val mem_str : string -> t -> (string, string) result
-val mem_list : string -> t -> (t list, string) result
 
 val escape_string : string -> string
 (** The encoder's string escaping (including the surrounding quotes),
