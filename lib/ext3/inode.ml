@@ -119,6 +119,8 @@ let decode lay buf off =
   { kind; links; uid; gid; perms; size; atime; mtime; ctime; nblocks;
     direct; ind; dind; tind; parity; symlink_target }
 
+let kind_at buf off = kind_of_code (Char.code (Bytes.get buf off))
+
 let max_file_blocks lay =
   let p = lay.Layout.ptrs_per_block in
   lay.Layout.direct_ptrs + p + (p * p) + (p * p * p)

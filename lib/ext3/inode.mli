@@ -38,5 +38,9 @@ val decode : Layout.t -> bytes -> int -> t
     garbage field values, never an exception. Sanity checking is the
     file system's job, not the codec's. *)
 
+val kind_at : bytes -> int -> kind
+(** [kind_at buf off] is the [kind] that [decode] would return for the
+    slot at [off], read from its kind byte alone. *)
+
 val max_file_blocks : Layout.t -> int
 (** Number of data blocks addressable before EFBIG. *)

@@ -14,7 +14,8 @@
 type 'a t
 
 val create : int -> 'a t
-(** [create cap] is an empty ring holding at most [cap] items.
+(** [create cap] is an empty ring holding at most [cap] items. Its
+    storage grows with the items pushed, up to [cap] slots.
     @raise Invalid_argument if [cap < 1]. *)
 
 val push : 'a t -> 'a -> unit

@@ -47,14 +47,18 @@ let prop_ring_wraparound =
     QCheck.(pair (int_range 1 17) (small_list small_int))
     (fun (cap, xs) ->
       let r = Ring.create cap in
-      List.iter (Ring.push r) xs;
       let n = List.length xs in
       let expect =
         List.filteri (fun i _ -> i >= n - cap) xs (* last [cap] items *)
       in
-      Ring.to_list r = expect
-      && Ring.dropped r = max 0 (n - cap)
-      && Ring.length r = min n cap)
+      let holds () =
+        List.iter (Ring.push r) xs;
+        Ring.to_list r = expect
+        && Ring.dropped r = max 0 (n - cap)
+        && Ring.length r = min n cap
+      in
+      (* Again after a clear, over the slots the first round grew. *)
+      holds () && (Ring.clear r; holds ()))
 
 (* --- histogram bucket math -------------------------------------------- *)
 
