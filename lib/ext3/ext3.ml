@@ -56,6 +56,9 @@ type state = {
   (* "Checksums are very small and can be cached for read
      verification" (§6.1): block -> raw SHA-1, loaded lazily. *)
   cksums : (int, string) Hashtbl.t;
+  mutable zeros : bytes;
+      (* all-zero block lent to readers of holes, made on first use;
+         never written *)
   mutable rlog_head : int;
       (* next free slot in the replica log; wraps (it is advisory —
          durability comes from the journal + checkpointed replicas) *)
@@ -146,19 +149,26 @@ let policy_of_profile (p : Profile.t) : (module Jrnl.POLICY) =
 (* Low-level block access with journal overlay                         *)
 (* ------------------------------------------------------------------ *)
 
-let block_read_raw t b =
-  match Jrnl.find t.jrnl b with
-  | Some d -> Ok (Bytes.copy d)
-  | None -> (
-      match Bcache.read t.cache b with
-      | Ok d -> Ok d
-      | Error _ -> Error Errno.EIO)
+(* Borrowed reads: [block_peek] returns the journal overlay's or the
+   cache's own buffer. The caller must not mutate it, and it is dead at
+   the next cache or journal call: eviction and restaging both recycle
+   buffers through the block arena. The read-only decoders borrow;
+   callers that mutate a block, or hold it across another call, take
+   [block_read_raw]'s copy. *)
+let cache_peek t b =
+  match Bcache.peek t.cache b with Ok d -> Ok d | Error _ -> Error Errno.EIO
+
+let block_peek t b =
+  match Jrnl.find t.jrnl b with Some d -> Ok d | None -> cache_peek t b
+
+let block_read_raw t b = Result.map Bytes.copy (block_peek t b)
 
 let txn_put t b data = Jrnl.stage t.jrnl b data
 
 (* Checksum-table maintenance. Failures here are logged but do not fail
    the triggering operation: losing a checksum degrades protection, not
-   correctness. *)
+   correctness. A changed digest clears the block's verify-once mark
+   (see [peek_checked]). *)
 let set_cksum t b data =
   let cb, off = Layout.cksum_location t.lay b in
   match block_read_raw t cb with
@@ -167,6 +177,7 @@ let set_cksum t b data =
       let d = Sha1.to_raw (Sha1.digest data) in
       Bytes.blit_string d 0 blk off 20;
       Hashtbl.replace t.cksums b d;
+      Bcache.set_checked t.cache b false;
       txn_put t cb blk
 
 let stored_cksum t b =
@@ -174,28 +185,69 @@ let stored_cksum t b =
   | Some d -> Some d
   | None -> (
       let cb, off = Layout.cksum_location t.lay b in
-      match block_read_raw t cb with
+      match block_peek t cb with
       | Error _ -> None
       | Ok blk ->
           (* Cache the whole table block's worth of digests at once. *)
           let base = b - (b mod t.lay.Layout.cksum_per_block) in
           for i = 0 to t.lay.Layout.cksum_per_block - 1 do
             Hashtbl.replace t.cksums (base + i)
-              (Bytes.sub_string blk (i * 20) 20)
+              (Bytes.sub_string blk (i * 20) 20);
+            Bcache.set_checked t.cache (base + i) false
           done;
           Some (Bytes.sub_string blk off 20))
+
+let digest_matches stored data =
+  Obs.incr_a "ixt3.cksum.verified";
+  String.equal stored (Sha1.to_raw (Sha1.digest data))
 
 let cksum_matches t b data =
   match stored_cksum t b with
   | None -> true (* cannot verify *)
-  | Some stored -> String.equal stored (Sha1.to_raw (Sha1.digest data))
+  | Some stored -> digest_matches stored data
+
+(* Borrowed read of [b], verified against its stored digest when
+   [check]: [Ok (data, false)] only on a known mismatch.
+
+   Verify-once: a cache entry whose bytes matched the digest now in
+   [t.cksums] carries Bcache's [checked] mark and is served without
+   hashing again. The mark implies that match: the cache clears it on
+   every change to the entry, [set_cksum] and [stored_cksum] on every
+   change to the digest. It is never set when the digest was missing
+   (table unreadable) or did not match, so those reads keep hashing and
+   logging every time. A marked block has its digest loaded, so the
+   skipped hash never skips a device read. Overlay blocks are hashed
+   on every read: the mark describes only the cache's bytes. *)
+let peek_checked t ~check b =
+  match Jrnl.find t.jrnl b with
+  | Some d -> Ok (d, (not check) || cksum_matches t b d)
+  | None -> (
+      match cache_peek t b with
+      | Error _ as e -> e
+      | Ok d when not check -> Ok (d, true)
+      | Ok d when Bcache.checked t.cache b ->
+          Obs.incr_a "ixt3.cksum.reused";
+          Ok (d, true)
+      | Ok d -> (
+          (* Loading a digest reads its table block through the cache,
+             which may evict [b] and recycle [d]: copy it first (once
+             per table block per mount). *)
+          let d = if Hashtbl.mem t.cksums b then d else Bytes.copy d in
+          match stored_cksum t b with
+          | None -> Ok (d, true) (* cannot verify *)
+          | Some stored ->
+              let ok = digest_matches stored d in
+              (* No-op if the table read evicted [b]; otherwise its
+                 entry still holds the bytes just hashed. *)
+              if ok then Bcache.set_checked t.cache b true;
+              Ok (d, ok)))
 
 (* Dynamic-replica map: dynamically allocated metadata (directory and
    indirect blocks) gets a mirror allocated on first write, recorded in
    the rmap region. *)
 let rmap_get t b =
   let rb, off = Layout.rmap_location t.lay b in
-  match block_read_raw t rb with
+  match block_peek t rb with
   | Error _ -> 0
   | Ok buf -> Codec.read_u32 buf off
 
@@ -227,42 +279,45 @@ let read_replica t b =
       | Error _ -> None)
   | None -> None
 
-(* Metadata read: overlay, then cache; verify checksum when enabled;
-   fall back to the replica on error or mismatch. *)
-let meta_read t cls b =
-  match block_read_raw t b with
-  | Ok data ->
-      if checksummed t cls && not (cksum_matches t b data) then begin
-        Klog.error t.klog "ixt3" "checksum mismatch on metadata block %d" b;
-        match read_replica t b with
-        | Some d when cksum_matches t b d ->
-            Bcache.invalidate t.cache b;
-            Ok d
-        | Some d when Bytes.equal d data ->
-            (* Two independent copies agree; the stored checksum is the
-               odd one out (e.g. its own in-place write was the one the
-               disk lost). Majority wins. *)
-            Klog.warn t.klog "ixt3"
-              "metadata block %d: primary and replica agree, overriding stale checksum"
-              b;
-            Ok data
-        | Some d ->
-            (* The primary is known-bad and the replica is a whole copy
-               the journal wrote, even if the stored checksum (itself
-               one in-place write) vouches for neither. A stale-but-
-               consistent version beats refusing the read. *)
-            Klog.warn t.klog "ixt3"
-              "metadata block %d: replica adopted over corrupt primary (checksum vouches for neither)"
-              b;
-            Bcache.invalidate t.cache b;
-            Ok d
-        | None -> Error Errno.EIO
-      end
-      else Ok data
+(* Metadata read, borrowed (see [block_peek]): overlay, then cache;
+   verify checksum when enabled; fall back to the replica on error or
+   mismatch. *)
+let meta_peek t cls b =
+  match peek_checked t ~check:(checksummed t cls) b with
+  | Ok (data, true) -> Ok data
+  | Ok (data, false) -> (
+      Klog.error t.klog "ixt3" "checksum mismatch on metadata block %d" b;
+      (* Finding the replica may read the rmap through the cache. *)
+      let data = Bytes.copy data in
+      match read_replica t b with
+      | Some d when cksum_matches t b d ->
+          Bcache.invalidate t.cache b;
+          Ok d
+      | Some d when Bytes.equal d data ->
+          (* Two independent copies agree; the stored checksum is the
+             odd one out (e.g. its own in-place write was the one the
+             disk lost). Majority wins. *)
+          Klog.warn t.klog "ixt3"
+            "metadata block %d: primary and replica agree, overriding stale checksum"
+            b;
+          Ok data
+      | Some d ->
+          (* The primary is known-bad and the replica is a whole copy
+             the journal wrote, even if the stored checksum (itself
+             one in-place write) vouches for neither. A stale-but-
+             consistent version beats refusing the read. *)
+          Klog.warn t.klog "ixt3"
+            "metadata block %d: replica adopted over corrupt primary (checksum vouches for neither)"
+            b;
+          Bcache.invalidate t.cache b;
+          Ok d
+      | None -> Error Errno.EIO)
   | Error _ -> (
       match read_replica t b with
       | Some d -> Ok d
       | None -> Error Errno.EIO)
+
+let meta_read t cls b = Result.map Bytes.copy (meta_peek t cls b)
 
 (* Forward reference: allocating a shadow block needs the allocator,
    which itself calls [meta_write]; tied together after [alloc_block]
@@ -326,7 +381,7 @@ let read_inode t ino =
   end
   else
     let blk, off = Layout.inode_location t.lay ino in
-    let* buf = meta_read t Itable blk in
+    let* buf = meta_peek t Itable blk in
     Ok (Inode.decode t.lay buf off)
 
 let write_inode t ino inode =
@@ -454,9 +509,11 @@ let free_inode t ino =
 (* Block mapping (direct / indirect / double / triple)                 *)
 (* ------------------------------------------------------------------ *)
 
-let read_ptr_block t b =
-  let* buf = meta_read t Indirect b in
-  Ok buf
+(* [ptr_peek] borrows (for a walk that reads one slot and moves on);
+   [read_ptr_block] copies, for callers that set slots or hold the
+   block across further calls. *)
+let ptr_peek t b = meta_peek t Indirect b
+let read_ptr_block t b = meta_read t Indirect b
 
 let get_ptr buf i = Codec.read_u32 buf (i * 4)
 let put_ptr buf i v = Codec.write_u32 buf (i * 4) v
@@ -471,18 +528,18 @@ let bmap t inode fblock =
     if fblock < p then
       if inode.Inode.ind = 0 then Ok 0
       else
-        let* buf = read_ptr_block t inode.Inode.ind in
+        let* buf = ptr_peek t inode.Inode.ind in
         Ok (get_ptr buf fblock)
     else
       let fblock = fblock - p in
       if fblock < p * p then begin
         if inode.Inode.dind = 0 then Ok 0
         else
-          let* l1 = read_ptr_block t inode.Inode.dind in
+          let* l1 = ptr_peek t inode.Inode.dind in
           let mid = get_ptr l1 (fblock / p) in
           if mid = 0 then Ok 0
           else
-            let* l2 = read_ptr_block t mid in
+            let* l2 = ptr_peek t mid in
             Ok (get_ptr l2 (fblock mod p))
       end
       else
@@ -490,15 +547,15 @@ let bmap t inode fblock =
         if fblock < p * p * p then begin
           if inode.Inode.tind = 0 then Ok 0
           else
-            let* l1 = read_ptr_block t inode.Inode.tind in
+            let* l1 = ptr_peek t inode.Inode.tind in
             let b1 = get_ptr l1 (fblock / (p * p)) in
             if b1 = 0 then Ok 0
             else
-              let* l2 = read_ptr_block t b1 in
+              let* l2 = ptr_peek t b1 in
               let b2 = get_ptr l2 (fblock / p mod p) in
               if b2 = 0 then Ok 0
               else
-                let* l3 = read_ptr_block t b2 in
+                let* l3 = ptr_peek t b2 in
                 Ok (get_ptr l3 (fblock mod p))
         end
         else Error Errno.EFBIG
@@ -603,12 +660,12 @@ let bmap_set t inode fblock newb =
     else
       let fb = fb - p in
       if fb < p * p then
-        let* l1 = read_ptr_block t inode.Inode.dind in
+        let* l1 = ptr_peek t inode.Inode.dind in
         set_slot (get_ptr l1 (fb / p)) (fb mod p)
       else
         let fb = fb - (p * p) in
-        let* l1 = read_ptr_block t inode.Inode.tind in
-        let* l2 = read_ptr_block t (get_ptr l1 (fb / (p * p))) in
+        let* l1 = ptr_peek t inode.Inode.tind in
+        let* l2 = ptr_peek t (get_ptr l1 (fb / (p * p))) in
         set_slot (get_ptr l2 (fb / p mod p)) (fb mod p)
 
 (* ------------------------------------------------------------------ *)
@@ -650,31 +707,36 @@ let reconstruct_from_parity t inode ~missing_fblock =
     Ok acc
   end
 
-(* Read file block [fblock]; holes read as zeroes. *)
-let data_read_block t inode fblock =
+(* Read file block [fblock], borrowed (see [block_peek]); holes lend
+   the shared zero block. *)
+let data_peek t inode fblock =
   let* b = bmap t inode fblock in
-  if b = 0 then Ok (zero_block t)
+  if b = 0 then begin
+    if Bytes.length t.zeros = 0 then t.zeros <- zero_block t;
+    Ok t.zeros
+  end
   else if b >= t.lay.Layout.num_blocks then begin
     (* A garbage pointer (corrupted indirect block): the device refuses. *)
     Klog.error t.klog "ext3" "read of impossible block %d" b;
     Error Errno.EIO
   end
   else
-    match block_read_raw t b with
-    | Ok data ->
-        if t.profile.Profile.data_checksum && not (cksum_matches t b data) then begin
-          Klog.error t.klog "ixt3" "checksum mismatch on data block %d" b;
-          match reconstruct_from_parity t inode ~missing_fblock:fblock with
-          | Ok d -> Ok d
-          | Error _ -> Error Errno.EIO
-        end
-        else Ok data
+    match peek_checked t ~check:t.profile.Profile.data_checksum b with
+    | Ok (data, true) -> Ok data
+    | Ok (_, false) -> (
+        Klog.error t.klog "ixt3" "checksum mismatch on data block %d" b;
+        match reconstruct_from_parity t inode ~missing_fblock:fblock with
+        | Ok d -> Ok d
+        | Error _ -> Error Errno.EIO)
     | Error _ -> (
         if t.profile.Profile.data_parity then
           match reconstruct_from_parity t inode ~missing_fblock:fblock with
           | Ok d -> Ok d
           | Error _ -> Error Errno.EIO
         else Error Errno.EIO)
+
+let data_read_block t inode fblock =
+  Result.map Bytes.copy (data_peek t inode fblock)
 
 (* Write one full block of file data, routed by the profile's commit
    policy. Updates parity incrementally and the data checksum when
@@ -772,11 +834,11 @@ let data_write_block t ino inode fblock data =
 (* Directories                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Read a directory block with the retry stock ext3 applies on its
-   (prefetching) directory read path. *)
+(* Read a directory block, borrowed (see [block_peek]), with the retry
+   stock ext3 applies on its (prefetching) directory read path. *)
 let dir_read_block t b =
   let rec attempt n =
-    match meta_read t Dir b with
+    match meta_peek t Dir b with
     | Ok d -> Ok d
     | Error e ->
         if n < t.profile.Profile.dir_read_retries then begin
@@ -1276,6 +1338,7 @@ let mount_impl profile dev =
         cwd = Layout.root_ino;
         root = Layout.root_ino;
         cksums = Hashtbl.create 256;
+        zeros = Bytes.empty;
         rlog_head = lay.Layout.rlog_start;
       }
     in
@@ -1561,7 +1624,7 @@ let op_read t fd ~off ~len =
             let fblock = (off + pos) / bs in
             let boff = (off + pos) mod bs in
             let n = min (bs - boff) (len - pos) in
-            let* data = data_read_block t i fblock in
+            let* data = data_peek t i fblock in
             Bytes.blit data boff out pos n;
             fill (pos + n)
         in

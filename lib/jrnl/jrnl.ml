@@ -841,11 +841,13 @@ module Record = struct
       Klog.error t.klog t.tag "refusing to journal journal block %d" b
     else begin
       let seen = Hashtbl.mem t.overlay b in
+      (* [old] only feeds [diff_ranges], with no cache call before it,
+         so the cache's own buffer can be borrowed. *)
       let old =
         match Hashtbl.find_opt t.overlay b with
         | Some d -> d
         | None -> (
-            match Bcache.read t.cache b with
+            match Bcache.peek t.cache b with
             | Ok d -> d
             | Error _ -> Bytes.make t.bs '\000')
       in

@@ -164,6 +164,166 @@ let test_bcache_invalidate () =
   ignore (Bcache.read c 5);
   check Alcotest.int "device read after invalidate" 1 (Memdisk.stats d).Memdisk.reads
 
+let test_bcache_fifo_after_invalidate () =
+  (* An invalidated block read again is the newest resident, not the
+     oldest: eviction is exact FIFO over the resident blocks. *)
+  let d, dev = make () in
+  let c = Bcache.create ~capacity:4 dev in
+  let rd b = ignore (Bcache.read c b) in
+  List.iter rd [ 0; 1; 2 ];
+  Bcache.invalidate c 0;
+  List.iter rd [ 0; 3; 4 ];
+  Memdisk.reset_stats d;
+  rd 0;
+  check Alcotest.int "block 0 still resident" 0 (Memdisk.stats d).Memdisk.reads;
+  rd 1;
+  check Alcotest.int "block 1 was the victim" 1 (Memdisk.stats d).Memdisk.reads
+
+let test_bcache_peek_borrows () =
+  let d, dev = make () in
+  let c = Bcache.create ~capacity:4 dev in
+  Dev.write_exn dev 2 (block dev 'p');
+  Memdisk.reset_stats d;
+  let a = Result.get_ok (Bcache.peek c 2) in
+  let b = Result.get_ok (Bcache.peek c 2) in
+  check Alcotest.bool "same buffer" true (a == b);
+  check Alcotest.bytes "contents" (block dev 'p') a;
+  check Alcotest.int "one miss, one hit" 1 (Bcache.misses c);
+  check Alcotest.int "hit counted" 1 (Bcache.hits c);
+  check Alcotest.int "one device read" 1 (Memdisk.stats d).Memdisk.reads
+
+(* Model-based check of the cache: a write-through FIFO cache over a
+   [char array] disk, with the verify-once mark. *)
+type bc_op =
+  | Op_read of int
+  | Op_peek of int
+  | Op_read_into of int
+  | Op_write of int * char
+  | Op_invalidate of int
+  | Op_invalidate_all
+  | Op_set_checked of int
+
+let bc_blocks = 8
+let bc_capacity = 4
+
+let show_bc_op = function
+  | Op_read b -> Printf.sprintf "read %d" b
+  | Op_peek b -> Printf.sprintf "peek %d" b
+  | Op_read_into b -> Printf.sprintf "read_into %d" b
+  | Op_write (b, ch) -> Printf.sprintf "write %d %C" b ch
+  | Op_invalidate b -> Printf.sprintf "invalidate %d" b
+  | Op_invalidate_all -> "invalidate_all"
+  | Op_set_checked b -> Printf.sprintf "set_checked %d" b
+
+let gen_bc_op =
+  let open QCheck.Gen in
+  let blk = int_bound (bc_blocks - 1) in
+  frequency
+    [
+      (4, map (fun b -> Op_read b) blk);
+      (4, map (fun b -> Op_peek b) blk);
+      (2, map (fun b -> Op_read_into b) blk);
+      (3, map2 (fun b ch -> Op_write (b, ch)) blk (char_range 'a' 'e'));
+      (1, map (fun b -> Op_invalidate b) blk);
+      (1, return Op_invalidate_all);
+      (3, map (fun b -> Op_set_checked b) blk);
+    ]
+
+let prop_bcache_model =
+  QCheck.Test.make ~name:"Bcache matches an exact-FIFO model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_bc_op ops))
+        Gen.(list_size (int_range 1 60) gen_bc_op))
+    (fun ops ->
+      let _, dev = make () in
+      let c = Bcache.create ~capacity:bc_capacity dev in
+      let disk = Array.make bc_blocks '\000' in
+      let resident = ref [] (* oldest first *) in
+      let marked = ref [] (* block, contents when marked *) in
+      let hits = ref 0 and misses = ref 0 in
+      let unmark b = marked := List.remove_assoc b !marked in
+      let admit b =
+        if not (List.mem b !resident) then begin
+          if List.length !resident >= bc_capacity then begin
+            unmark (List.hd !resident);
+            resident := List.tl !resident
+          end;
+          resident := !resident @ [ b ]
+        end
+      in
+      let access b =
+        if List.mem b !resident then incr hits
+        else begin
+          incr misses;
+          admit b
+        end
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let expect b got =
+        if not (Bytes.equal got (block dev disk.(b))) then
+          fail "block %d: stale contents" b
+      in
+      (* A read of a marked block must see the bytes it was marked with. *)
+      let read_checked b got =
+        if Bcache.checked c b then
+          match List.assoc_opt b !marked with
+          | Some ch when Bytes.equal got (block dev ch) -> ()
+          | _ -> fail "block %d: marked but changed" b
+      in
+      let step op =
+        (match op with
+        | Op_read b ->
+            let got = Result.get_ok (Bcache.read c b) in
+            access b;
+            expect b got;
+            read_checked b got;
+            (* A copy: scribbling on it must not reach the cache. *)
+            Bytes.fill got 0 (Bytes.length got) '#'
+        | Op_peek b ->
+            let got = Result.get_ok (Bcache.peek c b) in
+            access b;
+            expect b got;
+            read_checked b got
+        | Op_read_into b ->
+            let buf = Bytes.make dev.Dev.block_size '#' in
+            Result.get_ok (Bcache.read_into c b buf);
+            access b;
+            expect b buf;
+            read_checked b buf
+        | Op_write (b, ch) ->
+            Result.get_ok (Bcache.write c b (block dev ch));
+            disk.(b) <- ch;
+            if List.mem b !resident then unmark b else admit b
+        | Op_invalidate b ->
+            Bcache.invalidate c b;
+            unmark b;
+            resident := List.filter (( <> ) b) !resident
+        | Op_invalidate_all ->
+            Bcache.invalidate_all c;
+            resident := [];
+            marked := []
+        | Op_set_checked b ->
+            Bcache.set_checked c b true;
+            if List.mem b !resident then
+              marked := (b, disk.(b)) :: List.remove_assoc b !marked);
+        if Bcache.hits c <> !hits || Bcache.misses c <> !misses then
+          fail "after %s: hits/misses %d/%d, model %d/%d" (show_bc_op op)
+            (Bcache.hits c) (Bcache.misses c) !hits !misses;
+        for b = 0 to bc_blocks - 1 do
+          let m = List.mem_assoc b !marked in
+          if Bcache.checked c b <> m then
+            fail "after %s: block %d checked=%b, model %b" (show_bc_op op) b
+              (Bcache.checked c b) m;
+          if m && not (List.mem b !resident) then
+            fail "block %d marked but not resident" b
+        done
+      in
+      List.iter step ops;
+      (* Read everything back: the resident sets must agree too. *)
+      List.iter step (List.init bc_blocks (fun b -> Op_peek b));
+      true)
+
 let suites =
   [
     ( "disk.memdisk",
@@ -187,5 +347,9 @@ let suites =
         Alcotest.test_case "failed write keeps new data" `Quick
           test_bcache_failed_write_keeps_new_data;
         Alcotest.test_case "invalidate" `Quick test_bcache_invalidate;
+        Alcotest.test_case "FIFO order after invalidate" `Quick
+          test_bcache_fifo_after_invalidate;
+        Alcotest.test_case "peek borrows" `Quick test_bcache_peek_borrows;
+        qtest prop_bcache_model;
       ] );
   ]

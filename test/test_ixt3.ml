@@ -390,6 +390,147 @@ let test_scrub_finds_silent_corruption () =
   check Alcotest.bool "corruption found eagerly" true (r.Iron_ixt3.Scrub.corrupt >= 1);
   check Alcotest.int "repaired from parity" 0 r.Iron_ixt3.Scrub.unrecoverable
 
+(* --- verify-once metadata checksums ---------------------------------- *)
+
+module Obs = Iron_obs.Obs
+module Layout = Iron_ext3.Layout
+
+let counter obs name =
+  match List.assoc_opt name (Obs.snapshot obs) with
+  | Some (Obs.Counter n) -> n
+  | Some _ | None -> 0
+
+(* (digests computed, reads served by a verified cache entry) while
+   running [f]. *)
+let cksum_counts f =
+  let obs = Obs.create () in
+  Obs.with_ambient obs f;
+  (counter obs "ixt3.cksum.verified", counter obs "ixt3.cksum.reused")
+
+let log_count (Fs.Boxed ((module F), t)) needle =
+  let n = String.length needle in
+  List.length
+    (List.filter
+       (fun e ->
+         let m = e.Klog.message in
+         let rec find i =
+           i + n <= String.length m
+           && (String.sub m i n = needle || find (i + 1))
+         in
+         find 0)
+       (Klog.entries (F.klog t)))
+
+(* /d/f on a fresh volume, then a fresh mount of it (empty cache, no
+   digests loaded). Returns the disk, injector, device, mount, and the
+   block holding /d/f's inode. *)
+let with_dfile ?(extra = fun _ -> ()) brand =
+  let d, inj, dev, (Fs.Boxed ((module F), t) as fs) = fresh brand in
+  ok (F.mkdir t "/d");
+  mkfile fs "/d/f" "payload";
+  extra fs;
+  ok (F.unmount t);
+  let (Fs.Boxed ((module F), t) as fs) = ok (Fs.mount brand dev) in
+  let ino = (ok (F.stat t "/d/f")).Fs.st_ino in
+  let lay = Iron_ext3.Ext3.layout_of_dev dev in
+  (d, inj, dev, fs, lay, Layout.inode_location lay ino)
+
+let stat_read (Fs.Boxed ((module F), t) as fs) =
+  ignore (ok (F.stat t "/d/f"));
+  readfile fs "/d/f"
+
+let test_cksum_counters_pinned () =
+  let brand = Iron_ixt3.Ixt3.full in
+  let d, inj, dev, (Fs.Boxed ((module F), t) as fs) = fresh brand in
+  ignore (d, inj);
+  ok (F.mkdir t "/d");
+  mkfile fs "/d/f" "payload";
+  ok (F.unmount t);
+  let fs = ok (Fs.mount brand dev) in
+  let round () =
+    cksum_counts (fun () ->
+        check Alcotest.string "contents" "payload" (stat_read fs))
+  in
+  let pair = Alcotest.(pair int int) in
+  (* 23 checksummed reads a round. The first hashes each distinct block
+     once (the inode-table block, the two directory blocks, the data
+     block); every later read is served by its verified cache entry. *)
+  check pair "first round (verified, reused)" (4, 19) (round ());
+  check pair "second round (verified, reused)" (0, 23) (round ())
+
+let test_refilled_corrupt_block_caught () =
+  let brand = Iron_ixt3.Ixt3.brand ~mc:true ~mr:true () in
+  (* More blocks than the 512-block cache: reading it evicts the rest. *)
+  let evictor fs = mkfile fs "/big" (String.make (600 * 4096) 'b') in
+  let d, _, _, fs, _, (blk, _) = with_dfile ~extra:evictor brand in
+  let _, reused = cksum_counts (fun () -> ignore (stat_read fs)) in
+  check Alcotest.bool "inode block verified and reused" true (reused > 0);
+  let buf = Memdisk.peek d blk in
+  (Option.get (Iron_ext3.Classifier.corrupt_field "inode")) buf;
+  Memdisk.poke d blk buf;
+  check Alcotest.int "big file read" (600 * 4096)
+    (String.length (readfile fs "/big"));
+  check Alcotest.string "served from the replica" "payload" (stat_read fs);
+  let logged fmt = log_count fs (Printf.sprintf fmt blk) > 0 in
+  check Alcotest.bool "refilled block caught" true
+    (logged "checksum mismatch on metadata block %d");
+  check Alcotest.bool "replica used" true
+    (logged "metadata block %d recovered from replica")
+
+let test_rewrite_forces_one_fresh_hash () =
+  let brand = Iron_ixt3.Ixt3.full in
+  let _, _, _, (Fs.Boxed ((module F), t) as fs), _, _ = with_dfile brand in
+  ignore (stat_read fs);
+  ok (F.chmod t "/d/f" 0o600);
+  ok (F.sync t);
+  let v1, _ = cksum_counts (fun () -> ignore (ok (F.stat t "/d/f"))) in
+  let v2, r2 = cksum_counts (fun () -> ignore (ok (F.stat t "/d/f"))) in
+  check Alcotest.int "rewritten inode block hashed once" 1 v1;
+  check Alcotest.int "then reused" 0 v2;
+  check Alcotest.bool "reused reads" true (r2 > 0);
+  check Alcotest.int "new mode visible" 0o600
+    ((ok (F.stat t "/d/f")).Fs.st_mode land 0o777)
+
+let test_failed_table_read_not_remembered () =
+  let brand = Iron_ixt3.Ixt3.full in
+  let d, inj, dev, Fs.Boxed ((module F), t), lay, (blk, _) = with_dfile brand in
+  (* The mount above already verified [blk]; start over on a fresh
+     mount so its digest is not loaded. *)
+  ok (F.unmount t);
+  (* Corrupt a free inode slot of the block: harmless to the decoders,
+     so only the checksum can tell. *)
+  let buf = Memdisk.peek d blk in
+  let last = (lay.Layout.inodes_per_block - 1) * lay.Layout.inode_size in
+  check Alcotest.char "slot is free" '\000' (Bytes.get buf last);
+  Bytes.set buf (last + 8) '\x55';
+  Memdisk.poke d blk buf;
+  let cb, _ = Layout.cksum_location lay blk in
+  (* A fault on the checksum table that later clears. *)
+  let rid = Fault.arm inj (Fault.rule (Fault.Block cb) Fault.Fail_read) in
+  let fs = ok (Fs.mount brand dev) in
+  let mismatch = Printf.sprintf "checksum mismatch on metadata block %d" blk in
+  check Alcotest.string "unverifiable read served" "payload" (stat_read fs);
+  check Alcotest.int "nothing to compare against yet" 0 (log_count fs mismatch);
+  Fault.disarm inj rid;
+  check Alcotest.string "replica served" "payload" (stat_read fs);
+  check Alcotest.bool "corrupt primary caught" true (log_count fs mismatch > 0)
+
+let test_agreeing_copies_log_every_read () =
+  let brand = Iron_ixt3.Ixt3.full in
+  let d, _, dev, (Fs.Boxed ((module F), t)), lay, (blk, _) = with_dfile brand in
+  ok (F.unmount t);
+  (* Stale the stored digest: primary and replica still agree. *)
+  let cb, off = Layout.cksum_location lay blk in
+  let buf = Memdisk.peek d cb in
+  Bytes.set buf off (Char.chr (Char.code (Bytes.get buf off) lxor 0xFF));
+  Memdisk.poke d cb buf;
+  let fs = ok (Fs.mount brand dev) in
+  let agree = "primary and replica agree" in
+  check Alcotest.string "first read" "payload" (stat_read fs);
+  let n1 = log_count fs agree in
+  check Alcotest.bool "logged" true (n1 > 0);
+  check Alcotest.string "second read" "payload" (stat_read fs);
+  check Alcotest.int "logged again, never marked" (2 * n1) (log_count fs agree)
+
 (* --- feature matrix sanity -------------------------------------------- *)
 
 let test_all_32_variants_mount_and_work () =
@@ -406,6 +547,18 @@ let test_all_32_variants_mount_and_work () =
 
 let suites =
   [
+    ( "ixt3.verify-once",
+      [
+        Alcotest.test_case "counters pinned" `Quick test_cksum_counters_pinned;
+        Alcotest.test_case "refilled corrupt block caught" `Quick
+          test_refilled_corrupt_block_caught;
+        Alcotest.test_case "rewrite forces one fresh hash" `Quick
+          test_rewrite_forces_one_fresh_hash;
+        Alcotest.test_case "failed table read not remembered" `Quick
+          test_failed_table_read_not_remembered;
+        Alcotest.test_case "agreeing copies log every read" `Quick
+          test_agreeing_copies_log_every_read;
+      ] );
     ( "ixt3.replication",
       [
         Alcotest.test_case "Mr recovers inode-table read failure" `Quick
