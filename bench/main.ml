@@ -357,8 +357,6 @@ let stash name v =
   collected_metrics :=
     !collected_metrics @ [ (name, Iron_obs.Obs.Counter v) ]
 
-module Cow = Iron_disk.Cow
-
 let bench_params seed =
   { Memdisk.default_params with Memdisk.num_blocks = 2048; seed }
 
@@ -366,8 +364,8 @@ let snapshot_restore () =
   hr "Executor image discipline: flat restore vs COW restore";
   Printf.printf
     "One fingerprinting job = restore the 8 MiB base image, dirty a few\n\
-     dozen blocks, repeat. Flat restore blits the whole image; COW\n\
-     restore drops the overlay (O(dirty)).\n\n";
+     dozen blocks, repeat. The flat reference copies every block of the\n\
+     image into a block array; the COW disk drops its overlay (O(dirty)).\n\n";
   let cycles = 2000 and dirty = 24 in
   let block = Bytes.make 4096 'd' in
   let run name restore write =
@@ -391,26 +389,26 @@ let snapshot_restore () =
     us
   in
   (* Shared base image: some pre-existing content, as after mkfs. *)
-  let flat = Memdisk.create ~params:(bench_params 5) () in
-  Memdisk.set_time_model flat false;
+  let disk = Memdisk.create ~params:(bench_params 5) () in
+  Memdisk.set_time_model disk false;
   for b = 0 to 255 do
-    Memdisk.poke flat b (Bytes.make 4096 (Char.chr (b land 0xff)))
+    Memdisk.poke disk b (Bytes.make 4096 (Char.chr (b land 0xff)))
   done;
-  let img = Memdisk.snapshot flat in
-  let fdev = Memdisk.dev flat in
+  let img = Memdisk.snapshot disk in
+  let flat = Array.init 2048 (fun _ -> Bytes.create 4096) in
   let flat_us =
     run "flat"
-      (fun () -> Memdisk.restore flat img)
-      (fun b -> ignore (fdev.Iron_disk.Dev.write b block))
+      (fun () ->
+        Array.iteri
+          (fun b buf -> Bytes.blit (Memdisk.image_block img b) 0 buf 0 4096)
+          flat)
+      (fun b -> Bytes.blit block 0 flat.(b) 0 4096)
   in
-  let cow = Cow.create ~params:(bench_params 5) () in
-  Cow.set_time_model cow false;
-  Cow.restore cow img;
-  let cdev = Cow.dev cow in
+  let dev = Memdisk.dev disk in
   let cow_us =
     run "cow"
-      (fun () -> Cow.restore cow img)
-      (fun b -> ignore (cdev.Iron_disk.Dev.write b block))
+      (fun () -> Memdisk.restore disk img)
+      (fun b -> ignore (dev.Iron_disk.Dev.write b block))
   in
   stash "bench.snapshot_restore.cow_speedup_x"
     (int_of_float (flat_us /. cow_us));
@@ -423,9 +421,9 @@ let read_alloc () =
      fault-free: [read] allocates a fresh block per call, [read_into]\n\
      fills the caller's buffer.\n\n";
   let n = 50_000 in
-  let cow = Cow.create ~params:(bench_params 6) () in
-  Cow.set_time_model cow false;
-  let inj = Fault.create (Cow.dev cow) in
+  let disk = Memdisk.create ~params:(bench_params 6) () in
+  Memdisk.set_time_model disk false;
+  let inj = Fault.create (Memdisk.dev disk) in
   Fault.set_tracing inj false;
   let dev = Fault.dev inj in
   let buf = Bytes.create dev.Iron_disk.Dev.block_size in

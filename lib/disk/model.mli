@@ -1,10 +1,9 @@
 (** The disk service-time model and statistics engine.
 
-    Shared by {!Memdisk} (the flat in-memory store) and {!Cow} (the
-    copy-on-write overlay device) so the two are {e behaviourally
-    identical} through the device interface: same seek/rotation/
-    transfer charges, same PRNG draw sequence, same counters. The
-    differential test suite pins this equivalence.
+    {!Memdisk} keeps its head position, rotational PRNG, dirty flag
+    and counters here; the disk-model test suite drives a plain
+    [bytes array] reference through the same engine and pins the
+    device's statistics and clock to it.
 
     The three service-time components (paper Table 6 context):
 

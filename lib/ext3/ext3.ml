@@ -1894,6 +1894,9 @@ let op_unmount t =
         | Error _ -> Klog.warn t.klog "ixt3" "superblock copy %d not refreshed" g
       done;
     ignore (t.dev.Dev.sync ());
+    (* The instance is finished: hand the cache's buffers back to the
+       domain's block arena for the next mount to fill. *)
+    Bcache.invalidate_all t.cache;
     Ok ()
   end
 

@@ -448,8 +448,10 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
      (superblock, descriptors, revoke probes, commits): the decoders
      copy what they keep, so one buffer serves the whole recovery
      instead of one allocation per journal block. Data blocks that are
-     replayed home are still read into their own buffers. *)
+     replayed home are read into the domain's block arena and returned
+     to it once replay is done (every device copies what it writes). *)
   let scratch = Bytes.create bs in
+  let arena = Arena.block bs in
   let from_replica why e =
     match jsb_fallback with
     | None -> Error e
@@ -491,9 +493,11 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
               let copies = ref [] in
               let ok = ref true in
               for i = 1 to count do
-                match dev.Dev.read (pos + i) with
-                | Ok c -> copies := c :: !copies
+                let c = Arena.get arena in
+                match dev.Dev.read_into (pos + i) c with
+                | Ok () -> copies := c :: !copies
                 | Error _ ->
+                    Arena.put arena c;
                     ok := false;
                     Klog.error klog tag "journal data read failed during recovery"
               done;
@@ -570,6 +574,10 @@ let recover ~tag ~iron ~geo ~dev ~klog ?jsb_fallback ?refresh_replica () =
         (fun (_, blocks) ->
           List.iter (fun (home, copy) -> refresh home copy) blocks)
         txns);
+  List.iter
+    (fun (_, blocks) ->
+      List.iter (fun (_, copy) -> Arena.put arena copy) blocks)
+    txns;
   if !replay_errors > 0 then
     Klog.error klog tag "%d write failures during journal replay" !replay_errors;
   if !replay_errors > 0 && iron.check_write_errors then Error Errno.EIO
