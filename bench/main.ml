@@ -481,7 +481,8 @@ let crash_states () =
    residency the Wlog.take ownership discipline is meant to bound: a
    campaign records thousands of workloads through short-lived
    recorders, and must never hold more than one workload's payload per
-   job. *)
+   job. The campaign's specs-enumerated and torn-digest counters ride
+   along as exact work counts. *)
 let fuzz_throughput () =
   hr "Workload fuzzing (B3): campaign throughput and residency";
   Printf.printf
@@ -492,9 +493,15 @@ let fuzz_throughput () =
     "unique" "violations" "states/s" "peak-log";
   List.iter
     (fun brand ->
+      let obs = Iron_obs.Obs.create () in
       let t0 = Unix.gettimeofday () in
-      let r = Iron_fuzz.Fuzz.campaign ~jobs:!workers ~seq:1 brand in
+      let r = Iron_fuzz.Fuzz.campaign ~jobs:!workers ~seq:1 ~obs brand in
       let dt = Unix.gettimeofday () -. t0 in
+      let counter name =
+        match List.assoc_opt name (Iron_obs.Obs.snapshot obs) with
+        | Some (Iron_obs.Obs.Counter n) -> n
+        | Some (Iron_obs.Obs.Gauge _ | Iron_obs.Obs.Histogram _) | None -> 0
+      in
       let open Iron_fuzz.Fuzz in
       let rate = int_of_float (float r.fz_states_raw /. Float.max dt 0.001) in
       Format.printf "%-8s %9d %8d %8d %11d %11d %9dB  (%.1fs)@." r.fz_fs
@@ -502,7 +509,13 @@ let fuzz_throughput () =
         r.fz_peak_bytes dt;
       stash ("bench.fuzz." ^ r.fz_fs ^ ".states_per_sec") rate;
       stash ("bench.fuzz." ^ r.fz_fs ^ ".peak_log_bytes") r.fz_peak_bytes;
-      stash ("bench.fuzz." ^ r.fz_fs ^ ".violations") r.fz_violations)
+      stash ("bench.fuzz." ^ r.fz_fs ^ ".violations") r.fz_violations;
+      (* Deterministic work counts: enumeration over both passes and
+         the torn-block SHA-1s the digest memo could not avoid. *)
+      List.iter
+        (fun c ->
+          stash ("bench.fuzz." ^ r.fz_fs ^ "." ^ c) (counter ("fuzz." ^ c)))
+        [ "specs_enumerated"; "torn_digests" ])
     [ Iron_ext3.Ext3.std; Iron_ext3.Ext3.ixt3 ]
 
 (* --- multi-tenant traffic ---------------------------------------------- *)

@@ -186,25 +186,49 @@ let record ~params ~durable_files ~racing_files brand =
 (* ------------------------------------------------------------------ *)
 
 (* A crash-state spec: the final persisted content choice per block
-   ([choices] maps block -> log index whose data survives; blocks
-   absent keep the baseline), plus at most one torn write — the first
-   [len] bytes of log entry [idx] land on top of the otherwise-chosen
-   content of its block. Specs respect per-block write order by
-   construction: each block persists a prefix of its own writes. *)
+   plus at most one torn write. [choices] holds interleaved
+   (block, log index whose data survives) pairs, sorted by block;
+   blocks absent keep the baseline. The torn write, if any
+   ([torn_entry >= 0]), lands the first [torn_len] bytes of log entry
+   [torn_entry] on top of the otherwise-chosen content of its block.
+   Specs respect per-block write order by construction: each block
+   persists a prefix of its own writes.
+
+   The label is kept as its parts ([window], [shape], [at], [kept]) and
+   formatted only when someone asks ({!label_of}): a campaign enumerates
+   tens of thousands of specs and reads the labels of a handful. *)
+type shape = Cut | Drop | Torn | Rand
+
 type spec = {
-  label : string;
-  choices : (int * int) array; (* (block, entry idx), sorted by block *)
-  torn : (int * int) option; (* (entry idx, persisted bytes) *)
+  window : string; (* "e<epoch>" or "all" *)
+  shape : shape;
+  at : int; (* cut point, block, or rand attempt *)
+  kept : int; (* drop/torn: window writes of the block kept *)
+  choices : int array;
+  torn_entry : int; (* -1: nothing torn *)
+  torn_len : int;
 }
+
+let label_of s =
+  match s.shape with
+  | Cut -> Printf.sprintf "%s/cut%d" s.window s.at
+  | Drop -> Printf.sprintf "%s/drop blk %d w%d" s.window s.at s.kept
+  | Torn -> Printf.sprintf "%s/torn blk %d w%d" s.window s.at s.kept
+  | Rand -> Printf.sprintf "%s/rand%d" s.window s.at
 
 (* One reorder window: the entries a crash may persist any admissible
    subset of, on top of a durable prefix (the closed epochs before
    it). *)
 type window = {
   w_name : string;
-  durable_last : (int * int) list; (* per-block last durable write *)
   blocks : int array; (* window blocks, in first-touch order *)
   groups : int array array; (* per block: its window writes, in order *)
+  seq_slots : int array; (* window writes in log order, as block slots *)
+  (* The sorted union of durable-prefix and window blocks, as parallel
+     arrays, so [choices_of] is one linear pass. *)
+  u_block : int array;
+  u_durable : int array; (* last durable write of the block, or -1 *)
+  u_slot : int array; (* the block's window slot, or -1 *)
 }
 
 let window_of entries ~name ~in_durable ~in_window =
@@ -213,67 +237,112 @@ let window_of entries ~name ~in_durable ~in_window =
     (fun i (e : Wlog.entry) ->
       if in_durable e then Hashtbl.replace durable e.Wlog.w_block i)
     entries;
-  let order = ref [] in
-  let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  let order = ref [] and seq = ref [] in
+  let slots : (int, int * int list ref) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
     (fun i (e : Wlog.entry) ->
       if in_window e then
-        match Hashtbl.find_opt groups e.Wlog.w_block with
-        | Some l -> l := i :: !l
+        match Hashtbl.find_opt slots e.Wlog.w_block with
+        | Some (j, l) ->
+            l := i :: !l;
+            seq := j :: !seq
         | None ->
-            Hashtbl.add groups e.Wlog.w_block (ref [ i ]);
-            order := e.Wlog.w_block :: !order)
+            let j = Hashtbl.length slots in
+            Hashtbl.add slots e.Wlog.w_block (j, ref [ i ]);
+            order := e.Wlog.w_block :: !order;
+            seq := j :: !seq)
     entries;
   let blocks = Array.of_list (List.rev !order) in
-  let durable_last =
-    List.sort compare
-      (Hashtbl.fold (fun b i acc -> (b, i) :: acc) durable [])
+  let union =
+    List.sort_uniq compare
+      (Array.to_list blocks @ Hashtbl.fold (fun b _ acc -> b :: acc) durable [])
+    |> Array.of_list
   in
   {
     w_name = name;
-    durable_last;
     blocks;
     groups =
       Array.map
-        (fun b -> Array.of_list (List.rev !(Hashtbl.find groups b)))
+        (fun b -> Array.of_list (List.rev !(snd (Hashtbl.find slots b))))
         blocks;
+    seq_slots = Array.of_list (List.rev !seq);
+    u_block = union;
+    u_durable =
+      Array.map
+        (fun b -> Option.value ~default:(-1) (Hashtbl.find_opt durable b))
+        union;
+    u_slot =
+      Array.map
+        (fun b ->
+          match Hashtbl.find_opt slots b with Some (j, _) -> j | None -> -1)
+        union;
   }
 
 (* Materialize a spec's [choices] from per-block persisted counts:
    count [c] for window block [j] keeps that block's first [c] window
    writes (content = the [c]-th), count [0] falls back to the durable
-   prefix (or baseline). *)
+   prefix (or baseline). One merge pass over the window's sorted block
+   union: the result comes out sorted by block. *)
 let choices_of w counts =
-  let m = Hashtbl.create 64 in
-  List.iter (fun (b, i) -> Hashtbl.replace m b i) w.durable_last;
-  Array.iteri
-    (fun j c -> if c > 0 then Hashtbl.replace m w.blocks.(j) w.groups.(j).(c - 1))
-    counts;
-  let l = Hashtbl.fold (fun b i acc -> (b, i) :: acc) m [] in
-  Array.of_list (List.sort compare l)
+  let chosen u =
+    let j = w.u_slot.(u) in
+    if j >= 0 && counts.(j) > 0 then w.groups.(j).(counts.(j) - 1)
+    else w.u_durable.(u)
+  in
+  let n = ref 0 in
+  for u = 0 to Array.length w.u_block - 1 do
+    if chosen u >= 0 then incr n
+  done;
+  let c = Array.make (2 * !n) 0 in
+  let k = ref 0 in
+  for u = 0 to Array.length w.u_block - 1 do
+    let i = chosen u in
+    if i >= 0 then begin
+      c.(!k) <- w.u_block.(u);
+      c.(!k + 1) <- i;
+      k := !k + 2
+    end
+  done;
+  c
 
-(* Dedup key: the final content assignment. Two specs from different
+let iter_choices f c =
+  for k = 0 to (Array.length c / 2) - 1 do
+    f c.(2 * k) c.((2 * k) + 1)
+  done
+
+(* Dedup key: the final content assignment — a spec's choices and torn
+   write, hashed over their full length. Two specs from different
    windows that persist the same writes are one crash state. *)
-let key_of choices torn =
-  let buf = Buffer.create 128 in
-  Array.iter
-    (fun (b, i) -> Buffer.add_string buf (Printf.sprintf "%d:%d;" b i))
-    choices;
-  (match torn with
-  | Some (i, len) -> Buffer.add_string buf (Printf.sprintf "T%d:%d" i len)
-  | None -> ());
-  Buffer.contents buf
+module Seen = Hashtbl.Make (struct
+  type t = spec
+
+  let equal a b =
+    a.torn_entry = b.torn_entry
+    && a.torn_len = b.torn_len
+    &&
+    let n = Array.length a.choices in
+    n = Array.length b.choices
+    &&
+    let rec same i = i = n || (a.choices.(i) = b.choices.(i) && same (i + 1)) in
+    same 0
+
+  let hash s =
+    let h = ref ((s.torn_entry * 65599) + s.torn_len) in
+    Array.iter (fun x -> h := (!h * 0x100000001b3) + x) s.choices;
+    !h lxor (!h lsr 31)
+end)
 
 let enumerate_core ~seed ~max_states ~(entries : Wlog.entry array) ~n_epochs =
-  let seen = Hashtbl.create 1024 in
+  let seen = Seen.create 1024 in
   let specs = ref [] in
   let n_specs = ref 0 in
-  let add label choices torn =
-    if !n_specs < max_states then begin
-      let key = key_of choices torn in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        specs := { label; choices; torn } :: !specs;
+  let room () = !n_specs < max_states in
+  let add window shape at kept choices torn_entry torn_len =
+    if room () then begin
+      let s = { window; shape; at; kept; choices; torn_entry; torn_len } in
+      if not (Seen.mem seen s) then begin
+        Seen.add seen s ();
+        specs := s :: !specs;
         incr n_specs
       end
     end
@@ -283,44 +352,30 @@ let enumerate_core ~seed ~max_states ~(entries : Wlog.entry array) ~n_epochs =
     half := Bytes.length entries.(0).Wlog.w_data / 2;
   let systematic w =
     let counts = Array.make (Array.length w.blocks) 0 in
-    let full () = Array.iteri (fun j g -> counts.(j) <- Array.length g) w.groups in
-    let zero () = Array.fill counts 0 (Array.length counts) 0 in
     (* Global prefixes: the classic in-order power cut, one state per
        cut point. Walk the window in seq order, persisting one more
        write each step. *)
-    zero ();
-    add (w.w_name ^ "/cut0") (choices_of w counts) None;
-    let seq_order =
-      (* (window position -> block slot) in global write order *)
-      let l = ref [] in
-      Array.iteri
-        (fun j g -> Array.iter (fun i -> l := (i, j) :: !l) g)
-        w.groups;
-      List.sort compare !l
-    in
-    List.iteri
-      (fun n (_, j) ->
+    add w.w_name Cut 0 0 (choices_of w counts) (-1) 0;
+    Array.iteri
+      (fun n j ->
         counts.(j) <- counts.(j) + 1;
-        add (Printf.sprintf "%s/cut%d" w.w_name (n + 1)) (choices_of w counts) None)
-      seq_order;
+        if room () then add w.w_name Cut (n + 1) 0 (choices_of w counts) (-1) 0)
+      w.seq_slots;
     (* Drop-tail: persist everything except the tail of one block's
        writes — the reordered-commit shape (e.g. a journal payload
        block lost while the later commit block made it). Plus a torn
        variant where the first dropped write half-persisted. *)
     Array.iteri
       (fun j g ->
-        let k = Array.length g in
-        for kept = 0 to k - 1 do
-          full ();
-          counts.(j) <- kept;
-          let choices = choices_of w counts in
-          add
-            (Printf.sprintf "%s/drop blk %d w%d" w.w_name w.blocks.(j) kept)
-            choices None;
-          add
-            (Printf.sprintf "%s/torn blk %d w%d" w.w_name w.blocks.(j) kept)
-            choices
-            (Some (g.(kept), !half))
+        for kept = 0 to Array.length g - 1 do
+          if room () then begin
+            Array.iteri (fun j' g' -> counts.(j') <- Array.length g') w.groups;
+            counts.(j) <- kept;
+            let choices = choices_of w counts in
+            let b = w.blocks.(j) in
+            add w.w_name Drop b kept choices (-1) 0;
+            add w.w_name Torn b kept choices g.(kept) !half
+          end
         done)
       w.groups
   in
@@ -346,28 +401,30 @@ let enumerate_core ~seed ~max_states ~(entries : Wlog.entry array) ~n_epochs =
   let windows = List.rev !windows @ [ whole ] in
   List.iter systematic windows;
   (* Seeded random per-block prefixes over the whole-log window top the
-     enumeration up to [max_states]. *)
+     enumeration up to [max_states]. Each candidate carries the attempt
+     number it was drawn at, duplicates included. *)
   if Array.length whole.blocks > 0 then begin
     let rng = Prng.create (seed lxor 0xC4A54) in
     let counts = Array.make (Array.length whole.blocks) 0 in
     let attempts = ref 0 in
-    while !n_specs < max_states && !attempts < 16 * max_states do
+    while room () && !attempts < 16 * max_states do
       incr attempts;
       Array.iteri
         (fun j g -> counts.(j) <- Prng.int rng (Array.length g + 1))
         whole.groups;
-      let torn =
+      let torn_entry, torn_len =
         if Prng.int rng 4 = 0 then begin
           (* Tear the first unpersisted write of one random block. *)
           let j = Prng.int rng (Array.length whole.blocks) in
           let g = whole.groups.(j) in
           if counts.(j) < Array.length g then
-            Some (g.(counts.(j)), 1 + Prng.int rng (max 1 (!half * 2 - 1)))
-          else None
+            (g.(counts.(j)), 1 + Prng.int rng (max 1 ((!half * 2) - 1)))
+          else (-1, 0)
         end
-        else None
+        else (-1, 0)
       in
-      add (Printf.sprintf "all/rand%d" !attempts) (choices_of whole counts) torn
+      add whole.w_name Rand !attempts 0 (choices_of whole counts) torn_entry
+        torn_len
     done
   end;
   List.rev !specs
@@ -393,17 +450,20 @@ type outcome = { viol : (kind * string) option; tc : bool }
 
 (* Per-domain scratch COW device, reused across states (restore is
    O(blocks the previous state dirtied)). *)
-let scratch_slot : (int * Memdisk.t) option ref Domain.DLS.key =
+let scratch_slot : (int * int * Memdisk.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* Keyed on the whole geometry: a scratch of another block size cannot
+   restore this caller's images. *)
 let scratch ~params =
   let slot = Domain.DLS.get scratch_slot in
+  let bs = params.Memdisk.block_size and nb = params.Memdisk.num_blocks in
   match !slot with
-  | Some (nb, c) when nb = params.Memdisk.num_blocks -> c
+  | Some (bs', nb', c) when bs' = bs && nb' = nb -> c
   | Some _ | None ->
       let c = Memdisk.create ~params () in
       Memdisk.set_time_model c false;
-      slot := Some (params.Memdisk.num_blocks, c);
+      slot := Some (bs, nb, c);
       c
 
 (* Materialize a spec on the calling domain's scratch COW: O(dirty)
@@ -411,17 +471,16 @@ let scratch ~params =
 let materialize ~params ~baseline ~(entries : Wlog.entry array) spec =
   let disk = scratch ~params in
   Memdisk.restore disk baseline;
-  Array.iter
-    (fun (b, i) -> Memdisk.poke disk b entries.(i).Wlog.w_data)
+  iter_choices
+    (fun b i -> Memdisk.poke disk b entries.(i).Wlog.w_data)
     spec.choices;
-  (match spec.torn with
-  | None -> ()
-  | Some (i, len) ->
-      let e = entries.(i) in
-      let cur = Memdisk.peek disk e.Wlog.w_block in
-      let len = min len (Bytes.length e.Wlog.w_data) in
-      Bytes.blit e.Wlog.w_data 0 cur 0 len;
-      Memdisk.poke disk e.Wlog.w_block cur);
+  if spec.torn_entry >= 0 then begin
+    let e = entries.(spec.torn_entry) in
+    let cur = Memdisk.peek disk e.Wlog.w_block in
+    let len = min spec.torn_len (Bytes.length e.Wlog.w_data) in
+    Bytes.blit e.Wlog.w_data 0 cur 0 len;
+    Memdisk.poke disk e.Wlog.w_block cur
+  end;
   disk
 
 (* The invariant-check skeleton, shared by the fixed-workload explorer
@@ -589,13 +648,14 @@ let minimize_with ~check ctx ~(entries : Wlog.entry array) (spec, vkind, detail)
   let whole = ctx.fx_whole in
   let nslots = Array.length whole.blocks in
   let counts = Array.make nslots 0 in
-  Array.iter
-    (fun (b, i) ->
+  iter_choices
+    (fun b i ->
       match Hashtbl.find_opt ctx.fx_slot b with
       | Some j -> counts.(j) <- ctx.fx_pos.(i) + 1
       | None -> ())
     spec.choices;
-  let torn = ref spec.torn in
+  (* The torn entry, or -1 once its block's tail is restored. *)
+  let torn = ref spec.torn_entry in
   let probes = ref 0 in
   let culprit_slots = ref [] in
   let candidates =
@@ -610,12 +670,10 @@ let minimize_with ~check ctx ~(entries : Wlog.entry array) (spec, vkind, detail)
         let saved = counts.(j) in
         let saved_torn = !torn in
         counts.(j) <- ctx.fx_full.(j);
-        (match !torn with
-        | Some (i, _) when entries.(i).Wlog.w_block = whole.blocks.(j) ->
-            torn := None
-        | _ -> ());
+        if !torn >= 0 && entries.(!torn).Wlog.w_block = whole.blocks.(j) then
+          torn := -1;
         let probe =
-          { label = spec.label; choices = choices_of whole counts; torn = !torn }
+          { spec with choices = choices_of whole counts; torn_entry = !torn }
         in
         incr probes;
         let o = check probe in
@@ -647,10 +705,7 @@ let minimize_with ~check ctx ~(entries : Wlog.entry array) (spec, vkind, detail)
       cu_rule = p.Prov.rule;
       cu_first_seq = e.Wlog.w_seq;
       cu_dropped = ctx.fx_full.(j) - counts.(j);
-      cu_torn =
-        (match !torn with
-        | Some (i, _) -> entries.(i).Wlog.w_block = whole.blocks.(j)
-        | None -> false);
+      cu_torn = !torn >= 0 && entries.(!torn).Wlog.w_block = whole.blocks.(j);
     }
   in
   let culprits = List.rev_map culprit_of !culprit_slots in
@@ -700,7 +755,7 @@ let minimize_with ~check ctx ~(entries : Wlog.entry array) (spec, vkind, detail)
         (List.length culprits) (kind_to_string vkind)
   in
   {
-    ch_state = spec.label;
+    ch_state = label_of spec;
     ch_kind = vkind;
     ch_detail = detail;
     ch_probes = !probes;
@@ -721,7 +776,25 @@ module Sha1 = Iron_util.Sha1
 
 type state_spec = spec
 
-let spec_label (s : state_spec) = s.label
+let spec_label (s : state_spec) = label_of s
+let spec_choices (s : state_spec) = Array.copy s.choices
+
+let spec_torn (s : state_spec) =
+  if s.torn_entry < 0 then None else Some (s.torn_entry, s.torn_len)
+
+(* What [spec_digest] reuses across a session's specs, built on its
+   first call: per log entry, the raw SHA-1 of its data and whether that
+   data equals the baseline content of its block; the torn-block memo,
+   keyed on (under entry or -1, torn entry, persisted bytes); and the
+   merge and feed buffers. *)
+type digests = {
+  dg_entry : string array;
+  dg_same : bool array;
+  dg_torn : (int * int * int, string) Hashtbl.t;
+  dg_tmp : bytes;
+  dg_buf : Buffer.t;
+  mutable dg_torn_computed : int; (* torn-block SHA-1s actually computed *)
+}
 
 (* A recorded generated workload: the frozen post-mount baseline, the
    write log, and lazily built geometry/digest caches. Sessions are
@@ -732,10 +805,12 @@ type session = {
   ss_entries : Wlog.entry array;
   ss_epochs : int;
   mutable ss_geom : (window * int array * (int, int) Hashtbl.t) option;
-  mutable ss_digests : string array option;
+  mutable ss_digests : digests option;
 }
 
 let session_log_len s = Array.length s.ss_entries
+let session_entries s = s.ss_entries
+let session_baseline s = s.ss_baseline
 let session_epochs s = s.ss_epochs
 
 let session_log_bytes s =
@@ -811,22 +886,17 @@ let geom s =
 let counts_of s (spec : spec) =
   let whole, pos, slot = geom s in
   let counts = Array.make (Array.length whole.blocks) 0 in
-  Array.iter
-    (fun (b, i) ->
+  iter_choices
+    (fun b i ->
       match Hashtbl.find_opt slot b with
       | Some j -> counts.(j) <- pos.(i) + 1
       | None -> ())
     spec.choices;
   (whole, counts)
 
-(* The largest epoch E such that every write of epochs < E is fully
-   persisted by the spec. All VFS activity from epochs < E is then
-   durable in this state (anything later may be arbitrarily partial),
-   which is exactly what a caller's durability oracle may assume. A
-   whole-log reordering that dropped an early write scores E = 0: the
-   lying write-back cache promised nothing. *)
-let spec_epoch s (spec : spec) =
-  let whole, counts = counts_of s spec in
+(* The earliest epoch among the writes the spec drops or tears, or the
+   session's epoch count when it persists the whole log. *)
+let first_dropped_epoch s (whole, counts) (spec : spec) =
   let entries = s.ss_entries in
   let e = ref s.ss_epochs in
   Array.iteri
@@ -836,11 +906,17 @@ let spec_epoch s (spec : spec) =
         if first_dropped.Wlog.w_epoch < !e then e := first_dropped.Wlog.w_epoch
       end)
     counts;
-  (match spec.torn with
-  | Some (i, _) ->
-      if entries.(i).Wlog.w_epoch < !e then e := entries.(i).Wlog.w_epoch
-  | None -> ());
+  if spec.torn_entry >= 0 then
+    e := min !e entries.(spec.torn_entry).Wlog.w_epoch;
   !e
+
+(* The largest epoch E such that every write of epochs < E is fully
+   persisted by the spec. All VFS activity from epochs < E is then
+   durable in this state (anything later may be arbitrarily partial),
+   which is exactly what a caller's durability oracle may assume. A
+   whole-log reordering that dropped an early write scores E = 0: the
+   lying write-back cache promised nothing. *)
+let spec_epoch s (spec : spec) = first_dropped_epoch s (counts_of s spec) spec
 
 (* A barrier-honouring crash: no persisted write (torn included) from
    an epoch later than the first dropped write's epoch. An honest disk
@@ -848,87 +924,124 @@ let spec_epoch s (spec : spec) =
    so persisting later-epoch writes while earlier ones are missing
    takes a lying write-back cache. *)
 let spec_honest s (spec : spec) =
-  let whole, counts = counts_of s spec in
+  let ((whole, counts) as wc) = counts_of s spec in
   let entries = s.ss_entries in
-  let d = ref s.ss_epochs in
-  Array.iteri
-    (fun j c ->
-      if c < Array.length whole.groups.(j) then begin
-        let first_dropped = entries.(whole.groups.(j).(c)) in
-        if first_dropped.Wlog.w_epoch < !d then d := first_dropped.Wlog.w_epoch
-      end)
-    counts;
-  (match spec.torn with
-  | Some (i, _) ->
-      if entries.(i).Wlog.w_epoch < !d then d := entries.(i).Wlog.w_epoch
-  | None -> ());
+  let d = first_dropped_epoch s wc spec in
   let ok = ref true in
   Array.iteri
     (fun j c ->
       for k = 0 to c - 1 do
-        if entries.(whole.groups.(j).(k)).Wlog.w_epoch > !d then ok := false
+        if entries.(whole.groups.(j).(k)).Wlog.w_epoch > d then ok := false
       done)
     counts;
-  (match spec.torn with
-  | Some (i, _) -> if entries.(i).Wlog.w_epoch > !d then ok := false
-  | None -> ());
+  if spec.torn_entry >= 0 && entries.(spec.torn_entry).Wlog.w_epoch > d then
+    ok := false;
   !ok
 
-let entry_digests s =
+let digests_of s =
   match s.ss_digests with
   | Some d -> d
   | None ->
+      let entries = s.ss_entries in
       let d =
-        Array.map
-          (fun (e : Wlog.entry) -> Sha1.to_raw (Sha1.digest e.Wlog.w_data))
-          s.ss_entries
+        {
+          dg_entry =
+            Array.map
+              (fun (e : Wlog.entry) -> Sha1.to_raw (Sha1.digest e.Wlog.w_data))
+              entries;
+          dg_same =
+            Array.map
+              (fun (e : Wlog.entry) ->
+                Bytes.equal e.Wlog.w_data
+                  (Memdisk.image_block s.ss_baseline e.Wlog.w_block))
+              entries;
+          dg_torn = Hashtbl.create 64;
+          dg_tmp =
+            Bytes.create
+              (if entries = [||] then 0
+               else Bytes.length entries.(0).Wlog.w_data);
+          dg_buf = Buffer.create 256;
+          dg_torn_computed = 0;
+        }
       in
       s.ss_digests <- Some d;
       d
 
+let session_torn_digests s =
+  match s.ss_digests with Some d -> d.dg_torn_computed | None -> 0
+
+(* The digest part of a torn block: the raw SHA-1 of its merged bytes
+   (the first [len] bytes of [torn] over entry [under]'s data, or over
+   the baseline when [under = -1]), or [""] when the merge equals the
+   baseline. Memoized per session: campaigns tear the same write over
+   the same content under many specs. *)
+let torn_part s d ~under ~torn ~len =
+  let key = (under, torn, len) in
+  match Hashtbl.find_opt d.dg_torn key with
+  | Some p -> p
+  | None ->
+      let e = s.ss_entries.(torn) in
+      let base = Memdisk.image_block s.ss_baseline e.Wlog.w_block in
+      let tmp = d.dg_tmp in
+      Bytes.blit
+        (if under < 0 then base else s.ss_entries.(under).Wlog.w_data)
+        0 tmp 0 (Bytes.length tmp);
+      Bytes.blit e.Wlog.w_data 0 tmp 0 len;
+      let p =
+        if Bytes.equal tmp base then ""
+        else begin
+          d.dg_torn_computed <- d.dg_torn_computed + 1;
+          Sha1.to_raw (Sha1.digest tmp)
+        end
+      in
+      Hashtbl.add d.dg_torn key p;
+      p
+
 (* Content identity of the final disk state, relative to the (shared)
-   baseline: the SHA-1 over the sorted (block, content-digest) pairs
-   that differ from the baseline. Torn blocks hash their actual merged
+   baseline: the SHA-1 over the (block, content-digest) pairs that
+   differ from the baseline, in block order, each fed as
+   ["<block>:<20 raw bytes>"]. Torn blocks hash their actual merged
    bytes; choices that rewrite a block with its baseline content are
    normalized away. Two specs from different workloads over the same
    base image collide exactly when they leave identical disks. *)
 let spec_digest s (spec : spec) =
-  let entries = s.ss_entries in
-  let dig = entry_digests s in
-  let torn_block, torn_bytes =
-    match spec.torn with
-    | None -> (-1, Bytes.empty)
-    | Some (i, len) ->
-        let e = entries.(i) in
-        let b = e.Wlog.w_block in
-        let under = ref (Memdisk.image_block s.ss_baseline b) in
-        Array.iter
-          (fun (b', i') -> if b' = b then under := entries.(i').Wlog.w_data)
-          spec.choices;
-        let cur = Bytes.copy !under in
-        let len = min len (Bytes.length e.Wlog.w_data) in
-        Bytes.blit e.Wlog.w_data 0 cur 0 len;
-        (b, cur)
+  let d = digests_of s in
+  let c = spec.choices in
+  let n = Array.length c / 2 in
+  let torn_block, torn_dg =
+    if spec.torn_entry < 0 then (-1, "")
+    else begin
+      let e = s.ss_entries.(spec.torn_entry) in
+      let b = e.Wlog.w_block in
+      let under = ref (-1) in
+      for k = 0 to n - 1 do
+        if c.(2 * k) = b then under := c.((2 * k) + 1)
+      done;
+      ( b,
+        torn_part s d ~under:!under ~torn:spec.torn_entry
+          ~len:(min spec.torn_len (Bytes.length e.Wlog.w_data)) )
+    end
   in
-  let parts = ref [] in
-  Array.iter
-    (fun (b, i) ->
-      if
-        b <> torn_block
-        && not (Bytes.equal entries.(i).Wlog.w_data (Memdisk.image_block s.ss_baseline b))
-      then parts := (b, dig.(i)) :: !parts)
-    spec.choices;
-  if
-    torn_block >= 0
-    && not (Bytes.equal torn_bytes (Memdisk.image_block s.ss_baseline torn_block))
-  then parts := (torn_block, Sha1.to_raw (Sha1.digest torn_bytes)) :: !parts;
-  let ctx = Sha1.init () in
-  List.iter
-    (fun (b, d) ->
-      Sha1.feed ctx (Bytes.unsafe_of_string (Printf.sprintf "%d:" b));
-      Sha1.feed ctx (Bytes.unsafe_of_string d))
-    (List.sort compare !parts);
-  Sha1.to_raw (Sha1.finalize ctx)
+  let buf = d.dg_buf in
+  Buffer.clear buf;
+  let part b dg =
+    Buffer.add_string buf (string_of_int b);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf dg
+  in
+  (* Choices are sorted by block: the torn block's part goes in just
+     before the first larger block. *)
+  let torn_due = ref (torn_dg <> "") in
+  for k = 0 to n - 1 do
+    let b = c.(2 * k) and i = c.((2 * k) + 1) in
+    if !torn_due && torn_block < b then begin
+      part torn_block torn_dg;
+      torn_due := false
+    end;
+    if b <> torn_block && not d.dg_same.(i) then part b d.dg_entry.(i)
+  done;
+  if !torn_due then part torn_block torn_dg;
+  Sha1.to_raw (Sha1.digest (Buffer.to_bytes buf))
 
 (* What a campaign's durability oracle asserts about one path in one
    crash state. [ex_allowed = None] leaves content unchecked (the path
@@ -1075,7 +1188,7 @@ let spec_first_dropped s (spec : state_spec) =
     (fun j c ->
       if c < Array.length whole.groups.(j) then consider whole.groups.(j).(c))
     counts;
-  (match spec.torn with Some (i, _) -> consider i | None -> ());
+  if spec.torn_entry >= 0 then consider spec.torn_entry;
   if !best < 0 then None else Some entries.(!best).Wlog.w_prov
 
 type forensics_ctx = forensic_ctx
@@ -1131,7 +1244,9 @@ let explore ?(jobs = 1) ?(seed = 7) ?(max_states = 1000) ?(num_blocks = 2048)
       (List.combine specs outcomes)
   in
   let violations =
-    List.map (fun (spec, k, detail) -> { state = spec.label; v_kind = k; detail }) viols
+    List.map
+      (fun (spec, k, detail) -> { state = label_of spec; v_kind = k; detail })
+      viols
   in
   let tc_detected =
     List.fold_left (fun n o -> if o.tc then n + 1 else n) 0 outcomes

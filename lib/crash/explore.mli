@@ -199,17 +199,35 @@ val record_session :
     each [fsync]/[sync] closed. A model panic during [ops] simply ends
     the recording — abandoning the instance is the crash. *)
 
+val session_entries : session -> Wlog.entry array
+(** The recorded write log, in issue order. *)
+
+val session_baseline : session -> Iron_disk.Memdisk.image
+(** The frozen pre-workload image the log was recorded on top of. *)
+
 type state_spec
 (** One crash-state spec of a session. *)
 
 val spec_label : state_spec -> string
+(** Formatted on each call from the spec's window, shape and numbers —
+    e.g. ["e2/cut3"], ["all/drop blk 301 w1"], ["all/torn blk 7 w0"],
+    ["all/rand12"] (the random attempt that drew it). *)
+
+val spec_choices : state_spec -> int array
+(** The persisted content per block, as interleaved (block, log index)
+    pairs sorted by block; blocks absent keep the baseline. *)
+
+val spec_torn : state_spec -> (int * int) option
+(** The torn write, if any: (log index, bytes of it that persisted on
+    top of its block's chosen content). *)
 
 val enumerate_session :
   seed:int -> max_states:int -> session -> state_spec list
 (** Same enumeration as the fixed-workload explorer: systematic states
     per reorder window (every epoch plus the whole log), then seeded
     random per-block prefixes up to [max_states], deduplicated by final
-    content within the session. *)
+    content within the session. A spec's identity is its choices array
+    plus its torn write; no label is formatted here. *)
 
 val spec_epoch : session -> state_spec -> int
 (** The largest [E] such that every recorded write of epochs [< E] is
@@ -233,7 +251,15 @@ val spec_digest : session -> state_spec -> string
     session baseline, normalized (baseline-identical rewrites ignored,
     torn blocks hashed by their merged bytes). Two specs over the same
     base image collide iff they leave identical disks, so a campaign
-    can dedup crash states {e across} workloads. *)
+    can dedup crash states {e across} workloads. Per session, entry
+    digests and "equals the baseline" flags are computed once, and
+    torn-block digests are memoized on (content under the tear, torn
+    write, persisted bytes). *)
+
+val session_torn_digests : session -> int
+(** Torn-block SHA-1s {!spec_digest} actually computed on this session
+    (memo hits and baseline-identical merges excluded) — a
+    deterministic work count. *)
 
 (** What a durability oracle asserts about one path in one crash
     state. [ex_allowed = None] leaves content unchecked (the path had

@@ -53,13 +53,21 @@ let minimize ~repro w =
 
 (* Per-workload result of the check pass. *)
 type wres = {
+  wr_enumerated : int;  (* specs enumerated, minimization included *)
   wr_checked : int;
   wr_tc : int;
   wr_kinds : string list;  (* one entry per violation *)
   wr_case : case option;
 }
 
-let no_result = { wr_checked = 0; wr_tc = 0; wr_kinds = []; wr_case = None }
+let no_result =
+  {
+    wr_enumerated = 0;
+    wr_checked = 0;
+    wr_tc = 0;
+    wr_kinds = [];
+    wr_case = None;
+  }
 
 let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
     ?(samples = 200) ?(num_blocks = 2048) ?(explain = false) ?obs ?on_workload
@@ -100,18 +108,27 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
       ~seed:(seed + (997 * k))
       ~max_states:states_per_workload session
   in
-  (* Scan: record + enumerate everything, keep only state digests. *)
+  (* Scan: record + enumerate everything, keep only state digests,
+     packed per workload into one string of 20-byte raw SHA-1s: held
+     as a list of small strings, a seq-2 campaign's 38k digests were
+     most of its peak heap. *)
   let scanned =
     in_span "scan" (fun () ->
         Pool.map_jobs ~jobs
           (fun (k, w) ->
             let session, _ = record w in
             let specs = enumerate k session in
-            let ds = List.map (Explore.spec_digest session) specs in
+            let ds = Buffer.create (20 * List.length specs) in
+            List.iter
+              (fun spec ->
+                Buffer.add_string ds (Explore.spec_digest session spec))
+              specs;
+            let ds = Buffer.contents ds in
             let r =
               ( ds,
                 Explore.session_log_len session,
-                Explore.session_log_bytes session )
+                Explore.session_log_bytes session,
+                Explore.session_torn_digests session )
             in
             tick ();
             r)
@@ -121,24 +138,25 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
      produce a digest owns that crash state. *)
   let corpus = Hashtbl.create 4096 in
   let novel = Array.make (max 1 (Array.length ws)) [] in
-  let states_raw = ref 0 and log_writes = ref 0 in
+  let states_raw = ref 0 and log_writes = ref 0 and torn_digests = ref 0 in
   (* Sessions are per-workload and dropped as soon as their digests are
      folded in, so a job's residency is one write log at a time; the
      campaign's peak is the largest single log. *)
   let peak_bytes = ref 0 in
   List.iteri
-    (fun k (ds, ll, lb) ->
+    (fun k (ds, ll, lb, td) ->
       log_writes := !log_writes + ll;
+      torn_digests := !torn_digests + td;
       if lb > !peak_bytes then peak_bytes := lb;
       let keep = ref [] in
-      List.iteri
-        (fun i d ->
-          incr states_raw;
-          if not (Hashtbl.mem corpus d) then begin
-            Hashtbl.add corpus d ();
-            keep := i :: !keep
-          end)
-        ds;
+      for i = 0 to (String.length ds / 20) - 1 do
+        let d = String.sub ds (20 * i) 20 in
+        incr states_raw;
+        if not (Hashtbl.mem corpus d) then begin
+          Hashtbl.add corpus d ();
+          keep := i :: !keep
+        end
+      done;
       novel.(k) <- List.rev !keep)
     scanned;
   let states = Hashtbl.length corpus in
@@ -155,6 +173,12 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
     match novel.(k) with
     | [] -> no_result
     | idxs ->
+        let enumerated = ref 0 in
+        let enumerate k session =
+          let specs = enumerate k session in
+          enumerated := !enumerated + List.length specs;
+          specs
+        in
         let session, tr = record w in
         let specs = Array.of_list (enumerate k session) in
         let rp = Gen.replay tr in
@@ -246,6 +270,7 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
         in
         let r =
           {
+            wr_enumerated = !enumerated;
             wr_checked = List.length idxs;
             wr_tc = !tc;
             wr_kinds = List.map (fun (_, k, _) -> Explore.kind_to_string k) bad;
@@ -257,6 +282,9 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
   in
   let results = in_span "check" (fun () -> Pool.map_jobs ~jobs check_workload indexed) in
   let tc = List.fold_left (fun a r -> a + r.wr_tc) 0 results in
+  let enumerated =
+    List.fold_left (fun a r -> a + r.wr_enumerated) !states_raw results
+  in
   let all_kinds = List.concat_map (fun r -> r.wr_kinds) results in
   let violations = List.length all_kinds in
   let kinds =
@@ -275,6 +303,8 @@ let campaign ?(jobs = 1) ?(seq = 1) ?(states_per_workload = 150) ?(seed = 7)
       Obs.add o "fuzz.log_writes" !log_writes;
       Obs.add o "fuzz.peak_log_bytes" !peak_bytes;
       Obs.add o "fuzz.states_raw" !states_raw;
+      Obs.add o "fuzz.specs_enumerated" enumerated;
+      Obs.add o "fuzz.torn_digests" !torn_digests;
       Obs.add o "fuzz.states" states;
       Obs.add o "fuzz.violations" violations;
       Obs.add o "fuzz.tc_detected" tc);

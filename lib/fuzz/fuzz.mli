@@ -72,7 +72,11 @@ val campaign :
     [explain = false]. With [~obs] the phases run under [fuzz.*] spans
     and bump [fuzz.workloads], [fuzz.log_writes],
     [fuzz.peak_log_bytes], [fuzz.states_raw], [fuzz.states],
-    [fuzz.violations] and [fuzz.tc_detected].
+    [fuzz.violations], [fuzz.tc_detected], and two deterministic work
+    counts: [fuzz.specs_enumerated] (specs enumerated by the scan and
+    check passes, minimization's re-fuzzing included) and
+    [fuzz.torn_digests] (torn-block SHA-1s the scan pass computed,
+    {!Iron_crash.Explore.session_torn_digests}).
     [on_workload] fires after each scanned and each checked workload
     (in the worker domain — must be domain-safe; meant for the
     peak-residency bench at [jobs = 1]). Deterministic: the report is

@@ -287,6 +287,318 @@ let test_forensics_jobs_deterministic () =
   check Alcotest.string "artifact bytes identical across -j" (bytes r1)
     (bytes r3)
 
+(* --- enumeration ≡ reference ---------------------------------------- *)
+
+(* The reference: the explorer's enumeration and content digest as they
+   were written first — string dedup keys built with Printf, a Printf
+   label per candidate, a Hashtbl-and-sort [choices_of], and a digest
+   fed from a sorted (block, digest) list. The library replaced all of
+   that with flat int-array keys, one merge per candidate, lazy labels
+   and per-session memos; its output must not differ by a byte. *)
+module Ref = struct
+  module Wlog = Iron_crash.Wlog
+  module Prng = Iron_util.Prng
+  module Sha1 = Iron_util.Sha1
+
+  type spec = {
+    label : string;
+    choices : (int * int) array;
+    torn : (int * int) option;
+  }
+
+  type window = {
+    w_name : string;
+    durable_last : (int * int) list;
+    blocks : int array;
+    groups : int array array;
+  }
+
+  let window_of entries ~name ~in_durable ~in_window =
+    let durable = Hashtbl.create 64 in
+    Array.iteri
+      (fun i (e : Wlog.entry) ->
+        if in_durable e then Hashtbl.replace durable e.Wlog.w_block i)
+      entries;
+    let order = ref [] in
+    let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+    Array.iteri
+      (fun i (e : Wlog.entry) ->
+        if in_window e then
+          match Hashtbl.find_opt groups e.Wlog.w_block with
+          | Some l -> l := i :: !l
+          | None ->
+              Hashtbl.add groups e.Wlog.w_block (ref [ i ]);
+              order := e.Wlog.w_block :: !order)
+      entries;
+    let blocks = Array.of_list (List.rev !order) in
+    {
+      w_name = name;
+      durable_last =
+        List.sort compare
+          (Hashtbl.fold (fun b i acc -> (b, i) :: acc) durable []);
+      blocks;
+      groups =
+        Array.map
+          (fun b -> Array.of_list (List.rev !(Hashtbl.find groups b)))
+          blocks;
+    }
+
+  let choices_of w counts =
+    let m = Hashtbl.create 64 in
+    List.iter (fun (b, i) -> Hashtbl.replace m b i) w.durable_last;
+    Array.iteri
+      (fun j c ->
+        if c > 0 then Hashtbl.replace m w.blocks.(j) w.groups.(j).(c - 1))
+      counts;
+    Array.of_list
+      (List.sort compare (Hashtbl.fold (fun b i acc -> (b, i) :: acc) m []))
+
+  let key_of choices torn =
+    let buf = Buffer.create 128 in
+    Array.iter
+      (fun (b, i) -> Buffer.add_string buf (Printf.sprintf "%d:%d;" b i))
+      choices;
+    (match torn with
+    | Some (i, len) -> Buffer.add_string buf (Printf.sprintf "T%d:%d" i len)
+    | None -> ());
+    Buffer.contents buf
+
+  let enumerate ~seed ~max_states ~(entries : Wlog.entry array) ~n_epochs =
+    let seen = Hashtbl.create 1024 in
+    let specs = ref [] in
+    let n_specs = ref 0 in
+    let add label choices torn =
+      if !n_specs < max_states then begin
+        let key = key_of choices torn in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          specs := { label; choices; torn } :: !specs;
+          incr n_specs
+        end
+      end
+    in
+    let half =
+      if Array.length entries > 0 then Bytes.length entries.(0).Wlog.w_data / 2
+      else 2048
+    in
+    let systematic w =
+      let counts = Array.make (Array.length w.blocks) 0 in
+      add (w.w_name ^ "/cut0") (choices_of w counts) None;
+      let seq_order =
+        let l = ref [] in
+        Array.iteri
+          (fun j g -> Array.iter (fun i -> l := (i, j) :: !l) g)
+          w.groups;
+        List.sort compare !l
+      in
+      List.iteri
+        (fun n (_, j) ->
+          counts.(j) <- counts.(j) + 1;
+          add
+            (Printf.sprintf "%s/cut%d" w.w_name (n + 1))
+            (choices_of w counts) None)
+        seq_order;
+      Array.iteri
+        (fun j g ->
+          for kept = 0 to Array.length g - 1 do
+            Array.iteri (fun j' g' -> counts.(j') <- Array.length g') w.groups;
+            counts.(j) <- kept;
+            let choices = choices_of w counts in
+            add
+              (Printf.sprintf "%s/drop blk %d w%d" w.w_name w.blocks.(j) kept)
+              choices None;
+            add
+              (Printf.sprintf "%s/torn blk %d w%d" w.w_name w.blocks.(j) kept)
+              choices
+              (Some (g.(kept), half))
+          done)
+        w.groups
+    in
+    let windows = ref [] in
+    for e = 0 to n_epochs do
+      let w =
+        window_of entries ~name:(Printf.sprintf "e%d" e)
+          ~in_durable:(fun en -> en.Wlog.w_epoch < e)
+          ~in_window:(fun en -> en.Wlog.w_epoch = e)
+      in
+      if Array.length w.blocks > 0 then windows := w :: !windows
+    done;
+    let whole =
+      window_of entries ~name:"all"
+        ~in_durable:(fun _ -> false)
+        ~in_window:(fun _ -> true)
+    in
+    List.iter systematic (List.rev !windows @ [ whole ]);
+    if Array.length whole.blocks > 0 then begin
+      let rng = Prng.create (seed lxor 0xC4A54) in
+      let counts = Array.make (Array.length whole.blocks) 0 in
+      let attempts = ref 0 in
+      while !n_specs < max_states && !attempts < 16 * max_states do
+        incr attempts;
+        Array.iteri
+          (fun j g -> counts.(j) <- Prng.int rng (Array.length g + 1))
+          whole.groups;
+        let torn =
+          if Prng.int rng 4 = 0 then begin
+            let j = Prng.int rng (Array.length whole.blocks) in
+            let g = whole.groups.(j) in
+            if counts.(j) < Array.length g then
+              Some (g.(counts.(j)), 1 + Prng.int rng (max 1 ((half * 2) - 1)))
+            else None
+          end
+          else None
+        in
+        add
+          (Printf.sprintf "all/rand%d" !attempts)
+          (choices_of whole counts) torn
+      done
+    end;
+    List.rev !specs
+
+  let digest ~baseline ~(entries : Wlog.entry array) spec =
+    let base b = Memdisk.image_block baseline b in
+    let torn_block, torn_bytes =
+      match spec.torn with
+      | None -> (-1, Bytes.empty)
+      | Some (i, len) ->
+          let e = entries.(i) in
+          let b = e.Wlog.w_block in
+          let under = ref (base b) in
+          Array.iter
+            (fun (b', i') -> if b' = b then under := entries.(i').Wlog.w_data)
+            spec.choices;
+          let cur = Bytes.copy !under in
+          Bytes.blit e.Wlog.w_data 0 cur 0
+            (min len (Bytes.length e.Wlog.w_data));
+          (b, cur)
+    in
+    let parts = ref [] in
+    Array.iter
+      (fun (b, i) ->
+        let data = entries.(i).Wlog.w_data in
+        if b <> torn_block && not (Bytes.equal data (base b)) then
+          parts := (b, Sha1.to_raw (Sha1.digest data)) :: !parts)
+      spec.choices;
+    if torn_block >= 0 && not (Bytes.equal torn_bytes (base torn_block)) then
+      parts := (torn_block, Sha1.to_raw (Sha1.digest torn_bytes)) :: !parts;
+    let ctx = Sha1.init () in
+    List.iter
+      (fun (b, d) ->
+        Sha1.feed ctx (Bytes.unsafe_of_string (Printf.sprintf "%d:" b));
+        Sha1.feed ctx (Bytes.unsafe_of_string d))
+      (List.sort compare !parts);
+    Sha1.to_raw (Sha1.finalize ctx)
+end
+
+module Gen = Iron_fuzz.Gen
+
+let fuzz_params =
+  { Memdisk.default_params with Memdisk.num_blocks = 2048; seed = 7 lxor 0xb3 }
+
+let brands = [| Iron_ext3.Ext3.std; Iron_ext3.Ext3.ixt3 |]
+
+(* One frozen base image per brand, built on first use. *)
+let bases =
+  Array.map
+    (fun brand ->
+      lazy (Explore.make_base ~params:fuzz_params ~setup:Gen.setup brand))
+    brands
+
+let seq2_workloads =
+  lazy (Array.of_list (Gen.workloads ~seq:2 ~seed:0 ~samples:0))
+
+let flat pairs =
+  Array.concat (List.map (fun (b, i) -> [| b; i |]) (Array.to_list pairs))
+
+let test_enumerate_matches_reference =
+  let caps = [| 1; 7; 150; 400 |] in
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 1) (int_bound 1405) (int_bound 1_000_000) (int_bound 3))
+  in
+  let print (b, w, seed, cap) =
+    Printf.sprintf "%s %S seed %d max_states %d"
+      (Fs.brand_name brands.(b))
+      (Gen.to_string (Lazy.force seq2_workloads).(w))
+      seed caps.(cap)
+  in
+  QCheck.Test.make ~name:"explore: enumerate and spec_digest = reference"
+    ~count:60 (QCheck.make ~print gen) (fun (b, w, seed, cap) ->
+      let brand = brands.(b) and max_states = caps.(cap) in
+      let wl = (Lazy.force seq2_workloads).(w) in
+      let tr = Gen.tracker () in
+      let session =
+        Explore.record_session ~params:fuzz_params ~base:(Lazy.force bases.(b))
+          ~ops:(fun fsb ~closed_epochs -> Gen.run fsb ~closed_epochs tr wl)
+          brand
+      in
+      let entries = Explore.session_entries session in
+      let got = Explore.enumerate_session ~seed ~max_states session in
+      let want =
+        Ref.enumerate ~seed ~max_states ~entries
+          ~n_epochs:(Explore.session_epochs session)
+      in
+      if List.length got <> List.length want then
+        QCheck.Test.fail_reportf "%d specs, reference %d" (List.length got)
+          (List.length want);
+      List.iteri
+        (fun n (g, (r : Ref.spec)) ->
+          let fail what =
+            QCheck.Test.fail_reportf "spec %d (%s): %s differs" n r.Ref.label
+              what
+          in
+          if Explore.spec_label g <> r.Ref.label then
+            QCheck.Test.fail_reportf "spec %d: label %S, reference %S" n
+              (Explore.spec_label g) r.Ref.label;
+          if Explore.spec_choices g <> flat r.Ref.choices then fail "choices";
+          if Explore.spec_torn g <> r.Ref.torn then fail "torn write";
+          let baseline = Explore.session_baseline session in
+          if Explore.spec_digest session g <> Ref.digest ~baseline ~entries r
+          then fail "digest")
+        (List.combine got want);
+      true)
+
+(* The per-domain scratch device is keyed on the whole geometry: a
+   session at 4096-byte blocks followed by a base at 1024-byte blocks
+   on the same domain and the same block count must get a fresh
+   scratch, not restore a 1 KiB image onto a 4 KiB device. *)
+let test_scratch_geometry () =
+  let brand = Iron_ext3.Ext3.std in
+  let p4 =
+    { Memdisk.default_params with Memdisk.num_blocks = 2048; seed = 3 }
+  in
+  let creat_victim (Fs.Boxed ((module F), t)) ~closed_epochs:_ =
+    (match F.creat t "/victim" with
+    | Ok fd -> ignore (F.close t fd)
+    | Error _ -> Alcotest.fail "creat /victim");
+    match F.sync t with Ok () -> () | Error _ -> Alcotest.fail "sync"
+  in
+  let base4 = Explore.make_base ~params:p4 ~setup:(fun _ -> ()) brand in
+  let s4 =
+    Explore.record_session ~params:p4 ~base:base4 ~ops:creat_victim brand
+  in
+  check Alcotest.bool "4 KiB session recorded writes" true
+    (Explore.session_log_len s4 > 0);
+  let p1 = { p4 with Memdisk.block_size = 1024 } in
+  let base1 = Explore.make_base ~params:p1 ~setup:(fun _ -> ()) brand in
+  check Alcotest.int "1 KiB base image" 1024
+    (Bytes.length (Memdisk.image_block base1 0));
+  let s1 =
+    Explore.record_session ~params:p1 ~base:base1 ~ops:creat_victim brand
+  in
+  check Alcotest.bool "1 KiB session recorded writes" true
+    (Explore.session_log_len s1 > 0);
+  (* The whole log persisted: a clean state at the new geometry. *)
+  let expects ~epoch:_ = [] in
+  let last =
+    List.find
+      (fun spec -> Explore.spec_epoch s1 spec = Explore.session_epochs s1)
+      (Explore.enumerate_session ~seed:1 ~max_states:400 s1)
+  in
+  let o = Explore.check_spec ~params:p1 ~brand ~fsck:true ~expects s1 last in
+  check Alcotest.bool "full-log state mounts and checks clean" true
+    (o.Explore.viol = None)
+
 let suites =
   [
     ( "crash.wlog",
@@ -308,6 +620,11 @@ let suites =
           test_jobs_deterministic;
         Alcotest.test_case "checkpoint precedes the log-tail advance" `Quick
           test_checkpoint_tail_advance;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 1606 |])
+          test_enumerate_matches_reference;
+        Alcotest.test_case "scratch keyed on block size and count" `Quick
+          test_scratch_geometry;
       ] );
     ( "crash.forensics",
       [
